@@ -166,15 +166,14 @@ let eval t { regs; planes } ~(vars : int array) =
   done;
   Array.unsafe_get regs t.result
 
-let popcount =
-  (* 16-bit table: four lookups per 63-bit word. *)
-  let table =
-    Array.init 65536 (fun i ->
-        let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
-        go i 0)
+(* SWAR popcount over the 63-bit word: bit pairs, nibbles, then bytes
+   summed by one multiply into the top byte (a count <= 63 fits in its
+   seven bits, so the truncated top bit never matters).  Table-free, so
+   process start-up builds nothing. *)
+let popcount w =
+  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+  let w =
+    (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333)
   in
-  fun w ->
-    table.(w land 0xFFFF)
-    + table.((w lsr 16) land 0xFFFF)
-    + table.((w lsr 32) land 0xFFFF)
-    + table.((w lsr 48) land 0x7FFF)
+  let w = (w + (w lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (w * 0x0101_0101_0101_0101) lsr 56

@@ -39,4 +39,4 @@ val eval : t -> scratch -> vars:int array -> int
     returns the top-event word. *)
 
 val popcount : int -> int
-(** Set bits in a word (16-bit table lookups). *)
+(** Set bits in a word (table-free SWAR). *)

@@ -331,12 +331,12 @@ let parallel_chunks ?jobs ?chunk_size f xs =
 
 module Cost = struct
   (* Per-kernel online cost estimation.  Each pool call site names its
-     workload with a stable string key ("fmea.injection",
-     "optimize.search", ...); every scheduled batch feeds an EWMA of the
-     measured per-task nanoseconds under that key, and [decide] only
-     parallelises when the estimated win clears the measured dispatch
-     overhead.  All state is process-global (guarded by [lock]) so one
-     warm engine amortises calibration across many analyses. *)
+     workload with a stable string key ("fmea.injection", ...); every
+     scheduled batch feeds an EWMA of the measured per-task nanoseconds
+     under that key, and [decide] only parallelises when the estimated
+     win clears the measured dispatch overhead.  All state is
+     process-global (guarded by [lock]) so one warm engine amortises
+     calibration across many analyses. *)
 
   type estimate = { ns_per_task : float; samples : int }
 

@@ -45,122 +45,200 @@ let evaluate table deployments =
 
 (* ---------- incremental SPFM evaluation ----------
 
-   [evaluate] re-runs [Fmeda.apply] over the whole table and re-derives
-   the metric component by component — O(rows × deployments + rows ×
-   components) per candidate, which dominates the search loops.  The
-   evaluator below precomputes the per-row failure-rate shares and the
-   per-component single-point sums once, then rescores only the
-   components a deployment set actually touches.  Floating-point folds
-   are replayed in exactly [Metrics.compute]'s order (row order within a
-   component, first-SR-appearance order across components), so the result
-   is bit-identical to [evaluate]. *)
+   [evaluate] re-runs [Fmeda.apply] over the whole table: every row is
+   string-matched against every deployment, O(rows × deployments) per
+   candidate.  The evaluator flattens the safety-related components' rows
+   once and indexes them by lowercased (component, failure mode) — the
+   key [Fmeda.matches] compares — so a deployment finds its rows with one
+   lookup and the search loops resolve every slot to its key before they
+   start.  A scoring [state] holds each row's single-point FIT and each
+   component's sum; changing the deployments of one key rewrites that
+   key's rows and re-sums only the components they belong to.  Folds
+   replay [Metrics.compute]'s order exactly (row order within a
+   component, first-SR-appearance order across components), so every
+   score is bit-identical to [evaluate]. *)
 
-type eval_row = {
-  er_component : string;  (* lowercased, for deployment matching *)
-  er_failure_mode : string;  (* lowercased *)
-  er_safety_related : bool;
-  er_base_spf : float;  (* the row's single_point_fit in the input table *)
-  er_share : float;  (* λ share of this failure mode (SR rows only) *)
-}
-
-type eval_component = {
-  ec_fit : float;  (* component FIT (first row, as in Metrics.compute) *)
-  ec_rows : eval_row array;  (* every row of the component, in table order *)
-  ec_base_spf : float;  (* fold of er_base_spf, row order *)
-}
-
+(* Components are the SR ones in first-appearance order; rows are theirs,
+   flattened component by component, each in table order. *)
 type evaluator = {
-  ev_components : eval_component array;  (* SR components, first-appearance order *)
+  ev_comp_start : int array;  (* [c] owns rows [start.(c), start.(c+1)) *)
+  ev_comp_base : float array;  (* the component's table single-point sum *)
+  ev_sr_fit : float;  (* fold of the components' FITs *)
+  ev_row_sr : bool array;
+  ev_row_base : float array;  (* the row's single_point_fit in the table *)
+  ev_row_share : float array;  (* λ share of the failure mode (SR rows) *)
+  ev_keys : (string * string, int) Hashtbl.t;  (* lowercased key -> id *)
+  ev_key_rows : int array array;  (* ascending; last id: absent keys *)
+  ev_key_comps : int array array;  (* ascending, distinct *)
 }
+
+(* Component [c]'s sum of [values] over its rows, in row order. *)
+let sum_rows comp_start values c =
+  let acc = ref 0.0 in
+  for pos = comp_start.(c) to comp_start.(c + 1) - 1 do
+    acc := !acc +. values.(pos)
+  done;
+  !acc
 
 let make_evaluator (table : Fmea.Table.t) =
-  let eval_row (r : Fmea.Table.row) =
-    {
-      er_component = String.lowercase_ascii r.Fmea.Table.component;
-      er_failure_mode = String.lowercase_ascii r.Fmea.Table.failure_mode;
-      er_safety_related = r.Fmea.Table.safety_related;
-      er_base_spf = r.Fmea.Table.single_point_fit;
-      er_share =
-        (if r.Fmea.Table.safety_related then
-           Reliability.Fit.share r.Fmea.Table.component_fit
-             ~distribution_pct:r.Fmea.Table.distribution_pct
-         else 0.0);
-    }
-  in
   let components =
-    List.map
-      (fun c ->
-        let rows = Fmea.Table.rows_for table c in
-        let fit =
-          match rows with
-          | (r : Fmea.Table.row) :: _ -> r.Fmea.Table.component_fit
-          | [] -> 0.0
-        in
-        let ec_rows = Array.of_list (List.map eval_row rows) in
-        let ec_base_spf =
-          Array.fold_left (fun acc er -> acc +. er.er_base_spf) 0.0 ec_rows
-        in
-        { ec_fit = fit; ec_rows; ec_base_spf })
-      (Fmea.Table.safety_related_components table)
+    Array.of_list
+      (List.map (Fmea.Table.rows_for table)
+         (Fmea.Table.safety_related_components table))
   in
-  { ev_components = Array.of_list components }
+  let n_comps = Array.length components in
+  let comp_start = Array.make (n_comps + 1) 0 in
+  Array.iteri
+    (fun c rows -> comp_start.(c + 1) <- comp_start.(c) + List.length rows)
+    components;
+  let rows = Array.of_list (List.concat (Array.to_list components)) in
+  let row_comp = Array.make (Array.length rows) 0 in
+  for c = 0 to n_comps - 1 do
+    Array.fill row_comp comp_start.(c) (comp_start.(c + 1) - comp_start.(c)) c
+  done;
+  let keys = Hashtbl.create 64 in
+  let row_key =
+    Array.map
+      (fun (r : Fmea.Table.row) ->
+        let key =
+          ( String.lowercase_ascii r.Fmea.Table.component,
+            String.lowercase_ascii r.Fmea.Table.failure_mode )
+        in
+        match Hashtbl.find_opt keys key with
+        | Some k -> k
+        | None ->
+            let k = Hashtbl.length keys in
+            Hashtbl.add keys key k;
+            k)
+      rows
+  in
+  let key_rows = Array.make (Hashtbl.length keys + 1) [] in
+  for pos = Array.length rows - 1 downto 0 do
+    key_rows.(row_key.(pos)) <- pos :: key_rows.(row_key.(pos))
+  done;
+  let comp_fit =
+    Array.map
+      (function
+        | (r : Fmea.Table.row) :: _ -> r.Fmea.Table.component_fit | [] -> 0.0)
+      components
+  in
+  let row_base =
+    Array.map (fun (r : Fmea.Table.row) -> r.Fmea.Table.single_point_fit) rows
+  in
+  {
+    ev_comp_start = comp_start;
+    ev_comp_base = Array.init n_comps (sum_rows comp_start row_base);
+    ev_sr_fit = Array.fold_left ( +. ) 0.0 comp_fit;
+    ev_row_sr =
+      Array.map (fun (r : Fmea.Table.row) -> r.Fmea.Table.safety_related) rows;
+    ev_row_base = row_base;
+    ev_row_share =
+      Array.map
+        (fun (r : Fmea.Table.row) ->
+          if r.Fmea.Table.safety_related then
+            Reliability.Fit.share r.Fmea.Table.component_fit
+              ~distribution_pct:r.Fmea.Table.distribution_pct
+          else 0.0)
+        rows;
+    ev_keys = keys;
+    ev_key_rows = Array.map Array.of_list key_rows;
+    ev_key_comps =
+      Array.map
+        (fun positions ->
+          (* Rows ascend, so their components do: drop repeats. *)
+          List.fold_right
+            (fun pos acc ->
+              match acc with
+              | c :: _ when c = row_comp.(pos) -> acc
+              | _ -> row_comp.(pos) :: acc)
+            positions []
+          |> Array.of_list)
+        key_rows;
+  }
+
+(* The key a deployment on (component, failure mode) matches; names the
+   table does not have map to the trailing key, which covers no row. *)
+let key_of ev component failure_mode =
+  match
+    Hashtbl.find_opt ev.ev_keys
+      (String.lowercase_ascii component, String.lowercase_ascii failure_mode)
+  with
+  | Some k -> k
+  | None -> Array.length ev.ev_key_rows - 1
+
+type state = { row_spf : float array; comp_spf : float array }
+
+let initial_state ev =
+  { row_spf = Array.copy ev.ev_row_base; comp_spf = Array.copy ev.ev_comp_base }
+
+(* [Fmeda.apply]'s choice among the deployments matching a row, folded in
+   deployment-list order: highest coverage wins, the first deployment
+   wins coverage ties. *)
+let better acc (d : Fmea.Fmeda.deployment) =
+  match acc with
+  | Some (b : Fmea.Fmeda.deployment)
+    when b.Fmea.Fmeda.mechanism.Reliability.Sm_model.coverage_pct
+         >= d.Fmea.Fmeda.mechanism.Reliability.Sm_model.coverage_pct ->
+      acc
+  | Some _ | None -> Some d
+
+(* Give key [k]'s rows their single-point FIT under [best], the winning
+   deployment ([None]: the table's own value), and re-sum the components
+   those rows belong to. *)
+let set_key ev st k best =
+  let rows = ev.ev_key_rows.(k) in
+  for i = 0 to Array.length rows - 1 do
+    let pos = rows.(i) in
+    st.row_spf.(pos) <-
+      (match best with
+      | None -> ev.ev_row_base.(pos)
+      | Some (d : Fmea.Fmeda.deployment) ->
+          if ev.ev_row_sr.(pos) then
+            Reliability.Fit.residual ev.ev_row_share.(pos)
+              ~coverage_pct:d.Fmea.Fmeda.mechanism.Reliability.Sm_model.coverage_pct
+          else 0.0)
+  done;
+  Array.iter
+    (fun c -> st.comp_spf.(c) <- sum_rows ev.ev_comp_start st.row_spf c)
+    ev.ev_key_comps.(k)
+
+let spfm ev st =
+  let single_point_fit = Array.fold_left ( +. ) 0.0 st.comp_spf in
+  if ev.ev_sr_fit <= 0.0 then 100.0
+  else 100.0 *. (1.0 -. (single_point_fit /. ev.ev_sr_fit))
 
 let evaluate_with ev deployments =
-  (* Best matching deployment per row — [Fmeda.apply]'s fold verbatim
-     (highest coverage wins, first deployment wins coverage ties). *)
-  let best_for er =
-    List.fold_left
-      (fun acc (d : Fmea.Fmeda.deployment) ->
-        if
-          String.equal
-            (String.lowercase_ascii d.Fmea.Fmeda.target_component)
-            er.er_component
-          && String.equal
-               (String.lowercase_ascii d.Fmea.Fmeda.target_failure_mode)
-               er.er_failure_mode
-        then
-          match acc with
-          | Some (b : Fmea.Fmeda.deployment)
-            when b.Fmea.Fmeda.mechanism.Reliability.Sm_model.coverage_pct
-                 >= d.Fmea.Fmeda.mechanism.Reliability.Sm_model.coverage_pct ->
-              acc
-          | Some _ | None -> Some d
-        else acc)
-      None deployments
-  in
-  let component_spf ec =
-    let touched =
-      deployments <> []
-      && Array.exists (fun er -> best_for er <> None) ec.ec_rows
-    in
-    if not touched then ec.ec_base_spf
-    else
-      Array.fold_left
-        (fun acc er ->
-          let spf =
-            match best_for er with
-            | None -> er.er_base_spf
-            | Some d ->
-                if er.er_safety_related then
-                  Reliability.Fit.residual er.er_share
-                    ~coverage_pct:
-                      d.Fmea.Fmeda.mechanism.Reliability.Sm_model.coverage_pct
-                else 0.0
-          in
-          acc +. spf)
-        0.0 ec.ec_rows
-  in
-  let safety_related_fit =
-    Array.fold_left (fun acc ec -> acc +. ec.ec_fit) 0.0 ev.ev_components
-  in
-  let single_point_fit =
-    Array.fold_left (fun acc ec -> acc +. component_spf ec) 0.0 ev.ev_components
-  in
-  let spfm_pct =
-    if safety_related_fit <= 0.0 then 100.0
-    else 100.0 *. (1.0 -. (single_point_fit /. safety_related_fit))
-  in
-  { deployments; spfm_pct; cost = Fmea.Fmeda.total_cost deployments }
+  let best = Array.make (Array.length ev.ev_key_rows) None in
+  List.iter
+    (fun (d : Fmea.Fmeda.deployment) ->
+      let k =
+        key_of ev d.Fmea.Fmeda.target_component
+          d.Fmea.Fmeda.target_failure_mode
+      in
+      best.(k) <- better best.(k) d)
+    deployments;
+  let st = initial_state ev in
+  Array.iteri (fun k b -> if Option.is_some b then set_key ev st k b) best;
+  {
+    deployments;
+    spfm_pct = spfm ev st;
+    cost = Fmea.Fmeda.total_cost deployments;
+  }
+
+let evaluator_for ?evaluator table =
+  match evaluator with Some ev -> ev | None -> make_evaluator table
+
+(* Each slot's key and its deployments, one per option. *)
+let resolve ev slots =
+  ( Array.map (fun s -> key_of ev s.slot_component s.slot_failure_mode) slots,
+    Array.map
+      (fun s ->
+        Array.of_list
+          (List.map
+             (Fmea.Fmeda.deploy ~component:s.slot_component
+                ~failure_mode:s.slot_failure_mode)
+             s.slot_options))
+      slots )
 
 (* ---------- streaming exhaustive enumeration ----------
 
@@ -171,74 +249,91 @@ let evaluate_with ev deployments =
    for candidate, the order the old list-based expansion
    ([without @ with_each]) produced — so every downstream tie-break
    (Pareto sweep stability, cheapest-meeting "first wins") is
-   bit-identical — without ever materialising the combination list:
-   candidates are decoded window by window, scored in parallel on the
-   {!Exec} pool, and folded in counter order at flat memory. *)
+   bit-identical — without ever materialising the combination list.  A
+   step of the counter changes a suffix of the digits, usually just the
+   last one; only the keys of the changed slots are rescored, and the
+   cost is refolded from the first changed slot on, against a running
+   prefix of [total_cost]'s fold. *)
 
-let default_window = 8_192
+let default_max_combinations = 2_000_000
 
 (* Combination count with saturation (33 slots of 3 options already
    overflow 63-bit ints). *)
 let combination_count slots =
-  List.fold_left
+  Array.fold_left
     (fun acc s ->
       let r = List.length s.slot_options + 1 in
       if acc > max_int / r then max_int else acc * r)
     1 slots
 
-let exhaustive_fold ?(component_types = []) ?(max_combinations = 2_000_000)
-    ?(window = default_window) ?evaluator table sm_model ~init ~f =
-  let slots = slots ~component_types table sm_model in
+let fold_combinations ev slots combinations ~init ~f =
+  let keys, options = resolve ev slots in
+  let n = Array.length slots in
+  (* The slots sharing each key, in slot order: the deployment-list order
+     [better] folds over. *)
+  let key_slots = Array.make (Array.length ev.ev_key_rows) [] in
+  for i = n - 1 downto 0 do
+    key_slots.(keys.(i)) <- i :: key_slots.(keys.(i))
+  done;
+  let digits = Array.make n 0 in
+  let deployed i = options.(i).(digits.(i) - 1) in
+  (* [cost.(i)]: [total_cost] folded over the deployments of slots < i. *)
+  let cost = Array.make (n + 1) 0.0 in
+  let st = initial_state ev in
+  let rescored = Array.make (Array.length key_slots) (-1) in
+  let emit acc =
+    let rec deployments i tail =
+      if i < 0 then tail
+      else
+        deployments (i - 1)
+          (if digits.(i) = 0 then tail else deployed i :: tail)
+    in
+    f acc
+      {
+        deployments = deployments (n - 1) [];
+        spfm_pct = spfm ev st;
+        cost = cost.(n);
+      }
+  in
+  let acc = ref (emit init) in
+  for step = 1 to combinations - 1 do
+    let low = ref (n - 1) in
+    while digits.(!low) = Array.length options.(!low) do
+      digits.(!low) <- 0;
+      decr low
+    done;
+    digits.(!low) <- digits.(!low) + 1;
+    for i = !low to n - 1 do
+      let k = keys.(i) in
+      if rescored.(k) <> step then begin
+        rescored.(k) <- step;
+        set_key ev st k
+          (List.fold_left
+             (fun acc j ->
+               if digits.(j) = 0 then acc else better acc (deployed j))
+             None key_slots.(k))
+      end;
+      cost.(i + 1) <-
+        (if digits.(i) = 0 then cost.(i)
+         else
+           cost.(i)
+           +. (deployed i).Fmea.Fmeda.mechanism.Reliability.Sm_model.cost)
+    done;
+    acc := emit !acc
+  done;
+  !acc
+
+let exhaustive_fold ?(component_types = [])
+    ?(max_combinations = default_max_combinations) ?evaluator table sm_model
+    ~init ~f =
+  let slots = Array.of_list (slots ~component_types table sm_model) in
   let combinations = combination_count slots in
   if combinations > max_combinations then
     invalid_arg
       (Printf.sprintf
          "Search.exhaustive: %d combinations exceed the limit of %d"
          combinations max_combinations);
-  (* Per-slot deployment table and mixed-radix weights (most significant
-     digit first, as in the historical expansion order). *)
-  let slot_arr = Array.of_list slots in
-  let n = Array.length slot_arr in
-  let deployments =
-    Array.map
-      (fun s ->
-        Array.of_list
-          (List.map
-             (Fmea.Fmeda.deploy ~component:s.slot_component
-                ~failure_mode:s.slot_failure_mode)
-             s.slot_options))
-      slot_arr
-  in
-  let radix = Array.map (fun d -> Array.length d + 1) deployments in
-  let weight = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    weight.(i) <- weight.(i + 1) * radix.(i + 1)
-  done;
-  let decode counter =
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        let digit = counter / weight.(i) mod radix.(i) in
-        go (i - 1)
-          (if digit = 0 then acc else deployments.(i).(digit - 1) :: acc)
-    in
-    go (n - 1) []
-  in
-  let ev =
-    match evaluator with Some ev -> ev | None -> make_evaluator table
-  in
-  let acc = ref init in
-  let base = ref 0 in
-  while !base < combinations do
-    let len = min window (combinations - !base) in
-    let window_candidates =
-      Exec.scheduled_map ~key:"optimize.search" (evaluate_with ev)
-        (List.init len (fun k -> decode (!base + k)))
-    in
-    List.iter (fun c -> acc := f !acc c) window_candidates;
-    base := !base + len
-  done;
-  !acc
+  fold_combinations (evaluator_for ?evaluator table) slots combinations ~init ~f
 
 let exhaustive ?(component_types = []) ?(max_combinations = 200_000) ?evaluator
     table sm_model =
@@ -246,84 +341,106 @@ let exhaustive ?(component_types = []) ?(max_combinations = 200_000) ?evaluator
     (exhaustive_fold ~component_types ~max_combinations ?evaluator table
        sm_model ~init:[] ~f:(fun acc c -> c :: acc))
 
-let greedy ?(component_types = []) ?evaluator ~target table sm_model =
-  let all_slots = slots ~component_types table sm_model in
-  let ev =
-    match evaluator with Some ev -> ev | None -> make_evaluator table
-  in
+(* ---------- greedy ----------
+
+   Each step scores every move — deploy a mechanism on an empty slot, or
+   swap the one on an occupied slot — and takes the best SPFM gain per
+   added cost (upgrades count only the cost delta, floored so free or
+   cheaper upgrades are strongly preferred; the first move wins score
+   ties).  A move changes the deployments of one key only, so it is
+   scored by rescoring that key on the current state and undoing it.
+
+   The current deployment list keeps the historical order (the move just
+   taken first, the rest in their previous order): [Fmeda.apply]'s
+   coverage ties and [total_cost]'s fold both follow it.  A move replaces
+   whatever deployment carries its slot's exact (component, failure mode)
+   names; [group] identifies slots by those names. *)
+
+let greedy_search ev ~target slots =
   let target_spfm = Fmea.Asil.spfm_target target in
-  let met spfm =
-    match target_spfm with None -> true | Some t -> spfm >= t
+  let met spfm = match target_spfm with None -> true | Some t -> spfm >= t in
+  let keys, options = resolve ev slots in
+  let n = Array.length slots in
+  let group =
+    let first = Hashtbl.create n in
+    Array.mapi
+      (fun i s ->
+        let names = (s.slot_component, s.slot_failure_mode) in
+        match Hashtbl.find_opt first names with
+        | Some g -> g
+        | None ->
+            Hashtbl.add first names i;
+            i)
+      slots
   in
-  let rec step current =
-    let current_candidate = evaluate_with ev current in
-    if met current_candidate.spfm_pct then current_candidate
+  let st = initial_state ev in
+  let best_of entries =
+    List.fold_left (fun acc (_, _, d) -> better acc d) None entries
+  in
+  (* [current]: (group, key, deployment), in deployment-list order. *)
+  let rec step current spfm_now =
+    if met spfm_now then (current, spfm_now)
     else begin
-      (* Candidate moves: deploy a mechanism on an empty slot, or upgrade
-         the mechanism on an occupied one.  Score is SPFM gain per added
-         cost (upgrades count only the cost delta, floored so free or
-         cheaper upgrades are strongly preferred).  Moves are enumerated
-         sequentially (fixing the tie-break order), scored on the domain
-         pool, then folded in enumeration order — the same move wins as
-         in a sequential run. *)
-      let slot_matches s (d : Fmea.Fmeda.deployment) =
-        String.equal d.Fmea.Fmeda.target_component s.slot_component
-        && String.equal d.Fmea.Fmeda.target_failure_mode s.slot_failure_mode
-      in
-      let moves =
-        List.concat_map
-          (fun s ->
-            let existing = List.find_opt (slot_matches s) current in
-            let others = List.filter (fun d -> not (slot_matches s d)) current in
-            List.filter_map
-              (fun (m : Reliability.Sm_model.mechanism) ->
-                let already =
-                  match existing with
-                  | Some d -> d.Fmea.Fmeda.mechanism = m
-                  | None -> false
-                in
-                if already then None
-                else
-                  let d =
-                    Fmea.Fmeda.deploy ~component:s.slot_component
-                      ~failure_mode:s.slot_failure_mode m
-                  in
-                  Some (d :: others, m, existing))
-              s.slot_options)
-          all_slots
-      in
-      let scored =
-        Exec.scheduled_map ~key:"optimize.greedy"
-          (fun (next, (m : Reliability.Sm_model.mechanism), existing) ->
-            let c = evaluate_with ev next in
-            let gain = c.spfm_pct -. current_candidate.spfm_pct in
-            let cost_delta =
-              m.Reliability.Sm_model.cost
-              -.
+      let by_key = Array.make (Array.length ev.ev_key_rows) [] in
+      List.iter
+        (fun ((_, k, _) as e) -> by_key.(k) <- e :: by_key.(k))
+        (List.rev current);
+      let best = ref None in
+      for i = 0 to n - 1 do
+        let k = keys.(i) and g = group.(i) in
+        let existing = List.find_opt (fun (g', _, _) -> g' = g) current in
+        let others = List.filter (fun (g', _, _) -> g' <> g) by_key.(k) in
+        let undo = best_of by_key.(k) in
+        let existing_cost =
+          match existing with
+          | Some (_, _, (e : Fmea.Fmeda.deployment)) ->
+              e.Fmea.Fmeda.mechanism.Reliability.Sm_model.cost
+          | None -> 0.0
+        in
+        Array.iteri
+          (fun j (d : Fmea.Fmeda.deployment) ->
+            let already =
               match existing with
-              | Some (e : Fmea.Fmeda.deployment) ->
-                  e.Fmea.Fmeda.mechanism.Reliability.Sm_model.cost
-              | None -> 0.0
+              | Some (_, _, (e : Fmea.Fmeda.deployment)) ->
+                  e.Fmea.Fmeda.mechanism = d.Fmea.Fmeda.mechanism
+              | None -> false
             in
-            (next, gain, gain /. Float.max cost_delta 0.01))
-          moves
-      in
-      let best =
-        List.fold_left
-          (fun acc (next, gain, score) ->
-            if gain <= 0.0 then acc
-            else
-              match acc with
-              | Some (_, best_score) when best_score >= score -> acc
-              | Some _ | None -> Some (next, score))
-          None scored
-      in
-      match best with
-      | None -> current_candidate (* no mechanism helps further *)
-      | Some (next, _) -> step next
+            if not already then begin
+              set_key ev st k (best_of ((g, k, d) :: others));
+              let gain = spfm ev st -. spfm_now in
+              set_key ev st k undo;
+              let cost_delta =
+                d.Fmea.Fmeda.mechanism.Reliability.Sm_model.cost
+                -. existing_cost
+              in
+              let score = gain /. Float.max cost_delta 0.01 in
+              if not (gain <= 0.0) then
+                match !best with
+                | Some (best_score, _, _) when best_score >= score -> ()
+                | Some _ | None -> best := Some (score, i, j)
+            end)
+          options.(i)
+      done;
+      match !best with
+      | None -> (current, spfm_now) (* no mechanism helps further *)
+      | Some (_, i, j) ->
+          let g = group.(i) and k = keys.(i) in
+          let next =
+            (g, k, options.(i).(j))
+            :: List.filter (fun (g', _, _) -> g' <> g) current
+          in
+          set_key ev st k
+            (best_of (List.filter (fun (_, k', _) -> k' = k) next));
+          step next (spfm ev st)
     end
   in
-  step []
+  let current, spfm_pct = step [] (spfm ev st) in
+  let deployments = List.map (fun (_, _, d) -> d) current in
+  { deployments; spfm_pct; cost = Fmea.Fmeda.total_cost deployments }
+
+let greedy ?(component_types = []) ?evaluator ~target table sm_model =
+  greedy_search (evaluator_for ?evaluator table) ~target
+    (Array.of_list (slots ~component_types table sm_model))
 
 (* Sort by ascending cost (descending SPFM within equal cost; stable, so
    the earliest candidate wins ties) and sweep: a candidate survives iff
@@ -395,17 +512,17 @@ let front_insert front c =
     ins front
 
 let optimise ?(component_types = []) ?evaluator ~target table sm_model =
-  let target_spfm = Fmea.Asil.spfm_target target in
-  let meets c =
-    match target_spfm with None -> true | Some t -> c.spfm_pct >= t
-  in
-  match
-    exhaustive_fold ~component_types ?evaluator table sm_model
-      ~init:(None, [])
+  let slots = Array.of_list (slots ~component_types table sm_model) in
+  let ev = evaluator_for ?evaluator table in
+  let combinations = combination_count slots in
+  if combinations > default_max_combinations then
+    let g = greedy_search ev ~target slots in
+    (Some g, [ g ])
+  else
+    let target_spfm = Fmea.Asil.spfm_target target in
+    let meets c =
+      match target_spfm with None -> true | Some t -> c.spfm_pct >= t
+    in
+    fold_combinations ev slots combinations ~init:(None, [])
       ~f:(fun (best, front) c ->
         (cheapest_step ~meets best c, front_insert front c))
-  with
-  | best, front -> (best, front)
-  | exception Invalid_argument _ ->
-      let g = greedy ~component_types ?evaluator ~target table sm_model in
-      (Some g, [ g ])

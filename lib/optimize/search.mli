@@ -35,27 +35,33 @@ val slots :
 
 val evaluate : Fmea.Table.t -> Fmea.Fmeda.deployment list -> candidate
 (** The reference scorer: [Fmeda.apply] over the full table, then
-    {!Fmea.Metrics.spfm}.  O(rows) per call — fine for one-off scoring;
-    the search loops use {!evaluate_with} instead. *)
+    {!Fmea.Metrics.spfm}.  O(rows × deployments) string matches per
+    call — fine for one-off scoring and as the tests' oracle; the search
+    loops score incrementally from an {!evaluator} instead. *)
 
 type evaluator
-(** Precomputed scoring state for one FMEA table: per-row failure-rate
-    shares and per-component single-point sums.  Immutable — safe to
-    share across the pool's domains. *)
+(** Precomputed scoring state for one FMEA table: the safety-related
+    components' rows, flattened, with their failure-rate shares and
+    single-point sums, and an index from lowercased (component, failure
+    mode) to the rows and components each key covers.  Immutable — safe
+    to share across domains. *)
 
 val make_evaluator : Fmea.Table.t -> evaluator
 
 val evaluate_with : evaluator -> Fmea.Fmeda.deployment list -> candidate
-(** Incremental scoring: only the components the deployment set touches
-    are re-summed; untouched components reuse their precomputed
-    single-point total.  Floating-point folds replay
-    {!Fmea.Metrics.compute}'s exact order, so the candidate is
-    bit-identical to {!evaluate} on the same table and deployments. *)
+(** Indexed scoring: each deployment finds its rows with one index
+    lookup instead of being string-matched against every row, and only
+    the components those rows belong to are re-summed; the rest keep
+    their precomputed single-point total.  O(rows + deployments) per
+    call.  Floating-point folds replay {!Fmea.Metrics.compute}'s exact
+    order, so the candidate is bit-identical to {!evaluate} on the same
+    table and deployments.  The searches below do not call it per
+    candidate: they keep one scoring state and rescore only the keys a
+    move or a counter step changes. *)
 
 val exhaustive_fold :
   ?component_types:(string * string) list ->
   ?max_combinations:int ->
-  ?window:int ->
   ?evaluator:evaluator ->
   Fmea.Table.t ->
   Reliability.Sm_model.t ->
@@ -67,13 +73,14 @@ val exhaustive_fold :
     materialising the combination list.  The space is walked as a
     mixed-radix counter (first slot most significant, digit 0 = no
     deployment), which reproduces the historical list order candidate
-    for candidate — all downstream tie-breaks are bit-identical.
-    Candidates are decoded and scored [window] at a time (default 8_192)
-    in parallel chunks on the {!Exec} pool, then folded sequentially in
-    counter order, so peak memory is O(window + slots) regardless of the
-    combination count.  Raises [Invalid_argument] if the count exceeds
-    [max_combinations] (default 2_000_000 — 10x the list-based cap,
-    affordable because nothing is retained). *)
+    for candidate — all downstream tie-breaks are bit-identical.  Each
+    counter step rescores only the slots whose digits changed (usually
+    the last one), so a candidate costs the rows of the keys it changes
+    plus one pass over the component totals; peak memory is O(slots)
+    regardless of the combination count.  Runs sequentially in the
+    calling domain.  Raises [Invalid_argument] before enumerating if the
+    count exceeds [max_combinations] (default 2_000_000 — 10x the
+    list-based cap, affordable because nothing is retained). *)
 
 val exhaustive :
   ?component_types:(string * string) list ->
@@ -118,13 +125,16 @@ val optimise :
   Fmea.Table.t ->
   Reliability.Sm_model.t ->
   candidate option * candidate list
-(** SAME's end-to-end Step 4b: exhaustive search when feasible (falling
-    back to greedy), returning the chosen solution and the Pareto front.
-    Runs on {!exhaustive_fold} with an online cheapest/Pareto
-    accumulator, so design spaces up to ~2 million combinations are
-    searched exactly at flat memory; the result equals
-    [cheapest_meeting ~target (exhaustive ...), pareto_front
-    (exhaustive ...)] wherever the list-based search could run at all.
+(** SAME's end-to-end Step 4b, returning the chosen solution and the
+    Pareto front.  The route is decided from the combination count
+    before anything is scored: up to 2 million combinations run on
+    {!exhaustive_fold} with an online cheapest/Pareto accumulator, so the
+    result equals [cheapest_meeting ~target (exhaustive ...),
+    pareto_front (exhaustive ...)] wherever the list-based search could
+    run at all; larger spaces run {!greedy} and return its candidate as a
+    one-point front.  An [Invalid_argument] raised while scoring (a
+    coverage outside [0,100], say) propagates — it is never mistaken for
+    an oversized space.
 
     [evaluator] (here and in {!exhaustive}/{!greedy}) supplies a
     prebuilt scorer for [table] — the incremental engine memoises it by

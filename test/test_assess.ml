@@ -73,6 +73,35 @@ let test_popcount () =
   Alcotest.(check int) "high lane only" 1
     (Program.popcount (1 lsl (Program.word_bits - 1)))
 
+(* The SWAR popcount against a naive bit loop over the whole 63-bit
+   word: 2M seeded words of every density plus the sign, extreme and
+   top-lane corner cases. *)
+let test_popcount_matches_bit_loop () =
+  let naive w =
+    let rec go w acc = if w = 0 then acc else go (w lsr 1) (acc + (w land 1)) in
+    go w 0
+  in
+  let check w =
+    if Program.popcount w <> naive w then
+      Alcotest.failf "popcount %#x: %d, bit loop %d" w (Program.popcount w)
+        (naive w)
+  in
+  List.iter check [ 0; -1; max_int; min_int; 1 lsl 62; 1; min_int + 1 ];
+  let rng = Random.State.make [| 0x9097 |] in
+  let word () =
+    (Random.State.bits rng lsl 60)
+    lxor (Random.State.bits rng lsl 30)
+    lxor Random.State.bits rng
+  in
+  for i = 1 to 2_000_000 do
+    (* Rotate through dense, uniform and sparse words. *)
+    check
+      (match i mod 3 with
+      | 0 -> word () lor word ()
+      | 1 -> word ()
+      | _ -> word () land word () land word ())
+  done
+
 let test_shared_subtree_compiles_once () =
   let shared = Fta.Fault_tree.and_ "g" [ b "a"; b "b" ] in
   let t = Fta.Fault_tree.or_ "top" [ shared; shared ] in
@@ -363,6 +392,8 @@ let suite =
     Alcotest.test_case "eval basic gates" `Quick test_eval_basic_gates;
     Alcotest.test_case "eval koon exhaustive" `Quick test_eval_koon_exhaustive;
     Alcotest.test_case "popcount" `Quick test_popcount;
+    Alcotest.test_case "popcount matches bit loop" `Quick
+      test_popcount_matches_bit_loop;
     Alcotest.test_case "shared subtree compiles once" `Quick
       test_shared_subtree_compiles_once;
     QCheck_alcotest.to_alcotest prop_eval_matches_naive;

@@ -201,11 +201,9 @@ let candidate_list = Alcotest.testable Optimize.Search.pp_candidate
 
 let test_streaming_matches_list () =
   let listed = Optimize.Search.exhaustive two_slot_table catalogue in
-  (* Window smaller than (and not dividing) the 6-candidate space, so
-     the fold crosses window boundaries. *)
   let streamed =
     List.rev
-      (Optimize.Search.exhaustive_fold ~window:4 two_slot_table catalogue
+      (Optimize.Search.exhaustive_fold two_slot_table catalogue
          ~init:[] ~f:(fun acc c -> c :: acc))
   in
   Alcotest.(check (list candidate_list)) "same candidates, same order" listed
@@ -260,6 +258,208 @@ let test_streaming_beyond_list_cap () =
   Alcotest.(check bool) "exhaustive front, not greedy" true
     (List.length front > 1)
 
+(* ---------- route choice and exceptions ---------- *)
+
+let test_optimise_propagates_scorer_errors () =
+  (* A coverage outside [0,100] makes the scorer raise.  With a QM
+     target greedy would stop before scoring anything, so a fallback
+     taken on any [Invalid_argument] would hide the error behind an
+     empty-deployment answer; the search must raise it instead. *)
+  let bad =
+    Reliability.Sm_model.of_mechanisms [ mech "broken" "X" "f" 150.0 ]
+  in
+  match Optimize.Search.optimise ~target:Ssam.Requirement.QM two_slot_table bad with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "the scorer's error" true
+        (String.starts_with ~prefix:"Fit.residual" msg)
+  | _ -> Alcotest.fail "expected the scorer's Invalid_argument"
+
+let test_exhaustive_fold_propagates_callback_errors () =
+  match
+    Optimize.Search.exhaustive_fold two_slot_table catalogue ~init:()
+      ~f:(fun () _ -> invalid_arg "callback")
+  with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "the callback's error" "callback" msg
+  | _ -> Alcotest.fail "expected the callback's Invalid_argument"
+
+(* ---------- differential oracle: the searches on the reference scorer ---------- *)
+
+open Oracle
+
+let exact_candidate =
+  Alcotest.testable
+    (fun ppf (c : Optimize.Search.candidate) ->
+      Fmt.pf ppf "{%d deployments; spfm %h; cost %h}"
+        (List.length c.Optimize.Search.deployments)
+        c.Optimize.Search.spfm_pct c.Optimize.Search.cost)
+    Search_oracle.identical
+
+let with_jobs n f =
+  let saved = Exec.default_jobs () in
+  Fun.protect
+    ~finally:(fun () -> Exec.set_default_jobs saved)
+    (fun () ->
+      Exec.set_default_jobs n;
+      f ())
+
+(* [optimise], [greedy] and (where the list cap allows) [exhaustive]
+   against the oracle, for each target, at one and four jobs. *)
+let check_against_oracle ?component_types
+    ?(targets = Ssam.Requirement.[ ASIL_B; ASIL_D ]) ~label table sms =
+  let count =
+    Search_oracle.count (Optimize.Search.slots ?component_types table sms)
+  in
+  let expected_exhaustive =
+    if count <= 200_000 then
+      Some (Search_oracle.exhaustive ?component_types table sms)
+    else None
+  in
+  let expected =
+    List.map
+      (fun target ->
+        let optimised =
+          match expected_exhaustive with
+          | Some all ->
+              ( Optimize.Search.cheapest_meeting ~target all,
+                Optimize.Search.pareto_front all )
+          | None -> Search_oracle.optimise ?component_types ~target table sms
+        in
+        ( target,
+          Search_oracle.greedy ?component_types ~target table sms,
+          optimised ))
+      targets
+  in
+  let ev = Optimize.Search.make_evaluator table in
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          let name what = Printf.sprintf "%s %s jobs=%d" label what jobs in
+          (match expected_exhaustive with
+          | Some all ->
+              Alcotest.(check (list exact_candidate))
+                (name "exhaustive") all
+                (Optimize.Search.exhaustive ?component_types ~evaluator:ev
+                   table sms)
+          | None -> (
+              match Optimize.Search.exhaustive ?component_types table sms with
+              | exception Invalid_argument _ -> ()
+              | _ -> Alcotest.fail (name "exhaustive should refuse")));
+          List.iter
+            (fun (target, greedy, (chosen, front)) ->
+              let name what =
+                name (what ^ " " ^ Ssam.Requirement.show_integrity_level target)
+              in
+              Alcotest.check exact_candidate (name "greedy") greedy
+                (Optimize.Search.greedy ?component_types ~evaluator:ev ~target
+                   table sms);
+              let got_chosen, got_front =
+                Optimize.Search.optimise ?component_types ~target table sms
+              in
+              Alcotest.(check (option exact_candidate))
+                (name "optimise chosen") chosen got_chosen;
+              Alcotest.(check (list exact_candidate))
+                (name "optimise front") front got_front)
+            expected))
+    [ 1; 4 ]
+
+let test_oracle_systems () =
+  let check label s table targets =
+    check_against_oracle
+      ~component_types:
+        (Decisive.Systems.analysable s).Blockdiag.To_netlist.block_types
+      ~targets ~label table Reliability.Sm_model.extended_catalogue
+  in
+  let a = Decisive.Systems.system_a and b = Decisive.Systems.system_b in
+  (* System A's curated table (three designated sensors, 1,296
+     combinations) is searched exhaustively.  System B's curated table
+     (62,208 combinations) is left out: the oracle needs ~5 s to score
+     it, and the exhaustive route is covered here and by the seeded
+     tables below. *)
+  check "System A curated" a (Decisive.Systems.automated_fmea a)
+    Ssam.Requirement.[ ASIL_B; ASIL_D ];
+  check "System A all sensors" a (Search_oracle.all_sensors_fmea a)
+    Ssam.Requirement.[ ASIL_B; ASIL_D ];
+  check "System B all sensors" b (Search_oracle.all_sensors_fmea b)
+    Ssam.Requirement.[ ASIL_B ]
+
+(* A seeded table built to break index-based scoring: component and
+   failure-mode names that differ only in case (one key, several
+   components), duplicated rows (several slots on one key), zero-FIT
+   components, non-safety-related rows inside safety-related components
+   (matched by the same key, so a deployment zeroes them), mechanisms
+   of equal coverage (coverage ties fall to list order) and costs whose
+   sum depends on the fold order. *)
+let adversarial_table seed =
+  let rng = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let components = [| "MC1"; "mc1"; "D1"; "L1"; "Z0" |] in
+  let fits =
+    List.map
+      (fun c ->
+        ( c,
+          if c = "Z0" || (seed mod 4 = 0 && c = "D1") then 0.0
+          else pick [| 5.0; 20.0; 100.0 |] ))
+      (Array.to_list components)
+  in
+  let rows =
+    List.init
+      (5 + Random.State.int rng 5)
+      (fun _ ->
+        let c = pick components in
+        Fmea.Table.make_row ~component:c ~component_fit:(List.assoc c fits)
+          ~failure_mode:(pick [| "Open"; "open"; "Short"; "RAM" |])
+          ~distribution_pct:(pick [| 10.0; 25.0; 50.0; 100.0 |])
+          ~safety_related:(Random.State.int rng 5 > 0) ())
+  in
+  let mechanisms =
+    List.concat_map
+      (fun c ->
+        List.concat_map
+          (fun fm ->
+            List.init (Random.State.int rng 3) (fun i ->
+                mech ~cost:(pick [| 0.0; 0.1; 0.7; 1.0; 2.0 |])
+                  (Printf.sprintf "%s-%s-%d" c fm i) c fm
+                  (pick [| 60.0; 90.0; 90.0; 99.0 |])))
+          [ "Open"; "Short"; "RAM"; "open" ])
+      [ "MC1"; "D1"; "L1"; "Z0" ]
+  in
+  (* Half the seeds give "mc1" another component type, so slots that
+     share a key can offer different mechanisms. *)
+  let component_types =
+    if seed mod 2 = 0 then [ ("mc1", pick [| "L1"; "D1" |]) ] else []
+  in
+  (table rows, component_types, Reliability.Sm_model.of_mechanisms mechanisms)
+
+let test_oracle_adversarial () =
+  for seed = 1 to 40 do
+    let t, component_types, sms = adversarial_table seed in
+    check_against_oracle ~component_types
+      ~label:(Printf.sprintf "adversarial seed %d" seed)
+      ~targets:Ssam.Requirement.[ QM; ASIL_B; ASIL_D ] t sms
+  done
+
+(* Two slots whose names differ only in case share one key but stay
+   separate greedy slots: deploying on the second is a new deployment
+   at full cost, not an upgrade of the first.  The costs are chosen so
+   that charging only the difference would change greedy's second move. *)
+let test_oracle_case_differing_slots () =
+  let t =
+    table
+      [ sr_row "mc1" "open"; sr_row "MC1" "Open"; sr_row "X" "f" ]
+  in
+  let component_types = [ ("mc1", "T1"); ("MC1", "T2"); ("X", "T3") ] in
+  let sms =
+    Reliability.Sm_model.of_mechanisms
+      [
+        mech ~cost:1.0 "a" "T1" "open" 60.0;
+        mech ~cost:2.0 "b" "T2" "open" 99.0;
+        mech ~cost:1.5 "c" "T3" "f" 90.0;
+      ]
+  in
+  check_against_oracle ~component_types ~label:"case-differing slots"
+    ~targets:Ssam.Requirement.[ ASIL_D ] t sms
+
 let suite =
   [
     Alcotest.test_case "slots" `Quick test_slots;
@@ -279,4 +479,13 @@ let suite =
       test_streaming_optimise_matches_list;
     Alcotest.test_case "streaming beyond list cap" `Slow
       test_streaming_beyond_list_cap;
+    Alcotest.test_case "optimise propagates scorer errors" `Quick
+      test_optimise_propagates_scorer_errors;
+    Alcotest.test_case "exhaustive fold propagates callback errors" `Quick
+      test_exhaustive_fold_propagates_callback_errors;
+    Alcotest.test_case "oracle: systems A and B" `Slow test_oracle_systems;
+    Alcotest.test_case "oracle: adversarial tables" `Quick
+      test_oracle_adversarial;
+    Alcotest.test_case "oracle: case-differing slots" `Quick
+      test_oracle_case_differing_slots;
   ]
