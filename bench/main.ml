@@ -1308,38 +1308,10 @@ let diagnosis ~smoke () =
 
 (* ---------- Iteration loop: incremental re-analysis ---------- *)
 
-(* The DECISIVE loop's common case: one design iteration touches one
-   component.  Here System B's microcontroller supplier revises its FIT;
-   the incremental engine re-classifies only the rows the edit can reach
-   (the edited entry's components plus the diff closure) and reuses the
-   cached golden run, so the warm re-analysis performs strictly fewer
-   solves than the cold one — bit-identically. *)
-let iteration_loop () =
-  section "Iteration loop — warm vs cold re-analysis (System B, one edit)";
-  let subject = Decisive.Systems.system_b in
-  let diagram = subject.Decisive.Systems.diagram in
-  let reliability = subject.Decisive.Systems.reliability in
-  let options =
-    {
-      Fmea.Injection_fmea.default_options with
-      exclude = [ "DC1"; "BAT1" ];
-      monitored_sensors = Some [ "CS1"; "CS2"; "VS1" ];
-    }
-  in
-  (* The edit: the MCU's FIT worsens by 25. *)
-  let edited =
-    match
-      Reliability.Reliability_model.find reliability "microcontroller"
-    with
-    | Some e ->
-        Reliability.Reliability_model.add reliability
-          {
-            e with
-            Reliability.Reliability_model.fit =
-              e.Reliability.Reliability_model.fit +. 25.0;
-          }
-    | None -> reliability
-  in
+(* Time one edit of [reliability] to [edited]: the cold analysis of the
+   edited model against the warm one that has the unedited analysis as
+   its previous iteration. *)
+let iteration_edit ~name ~timing ~options ~diagram ~reliability edited =
   (* One untimed pass through both paths pays the first-touch costs of
      the diff/reuse machinery, which otherwise land on whichever timed
      run happens first. *)
@@ -1411,12 +1383,12 @@ let iteration_loop () =
   Printf.printf "warm result identical to cold: %b; solves saved: %d\n"
     identical
     (Engine.Stats.solves_performed cold - Engine.Stats.solves_performed warm);
-  record_timing "incremental/cold" t_cold;
-  record_timing "incremental/warm" t_warm;
+  record_timing (timing ^ "/cold") t_cold;
+  record_timing (timing ^ "/warm") t_warm;
   json_incremental :=
     Modelio.Json.Object
       [
-        ("name", Modelio.Json.String "system-b/mcu-fit-edit");
+        ("name", Modelio.Json.String name);
         ("cold_s", Modelio.Json.Number t_cold);
         ("warm_s", Modelio.Json.Number t_warm);
         ( "cold_solves",
@@ -1430,6 +1402,72 @@ let iteration_loop () =
         ("identical", Modelio.Json.Bool identical);
       ]
     :: !json_incremental
+
+(* The DECISIVE loop's common case: one design iteration touches one
+   component.  Two edits to System B's microcontroller entry:
+
+   - its supplier revises the FIT.  A FIT cannot move a classification,
+     so the warm engine re-prices the MCU rows from the previous table
+     and reuses every other row: zero solves.
+   - the failure mode's distribution moves.  That changes the entry
+     beyond its FIT, so the MCU rows are re-classified against the
+     cached golden run: strictly fewer solves than cold, but not zero.
+
+   Both warm results must be bit-identical to a cold analysis. *)
+let iteration_loop () =
+  section "Iteration loop — warm vs cold re-analysis (System B, one edit)";
+  let subject = Decisive.Systems.system_b in
+  let diagram = subject.Decisive.Systems.diagram in
+  let reliability = subject.Decisive.Systems.reliability in
+  let options =
+    {
+      Fmea.Injection_fmea.default_options with
+      exclude = [ "DC1"; "BAT1" ];
+      monitored_sensors = Some [ "CS1"; "CS2"; "VS1" ];
+    }
+  in
+  let edit_mcu f =
+    match
+      Reliability.Reliability_model.find reliability "microcontroller"
+    with
+    | Some e -> Reliability.Reliability_model.add reliability (f e)
+    | None -> reliability
+  in
+  let edits =
+    [
+      (* The MCU's FIT worsens by 25. *)
+      ( "system-b/mcu-fit-edit",
+        "incremental",
+        edit_mcu (fun e ->
+            {
+              e with
+              Reliability.Reliability_model.fit =
+                e.Reliability.Reliability_model.fit +. 25.0;
+            }) );
+      (* 10% of the MCU's failures move out of its RAM failure mode. *)
+      ( "system-b/mcu-distribution-edit",
+        "incremental-distribution",
+        edit_mcu (fun e ->
+            {
+              e with
+              Reliability.Reliability_model.failure_modes =
+                List.map
+                  (fun (fm : Reliability.Reliability_model.failure_mode) ->
+                    {
+                      fm with
+                      Reliability.Reliability_model.distribution_pct =
+                        fm.Reliability.Reliability_model.distribution_pct
+                        -. 10.0;
+                    })
+                  e.Reliability.Reliability_model.failure_modes;
+            }) );
+    ]
+  in
+  List.iter
+    (fun (name, timing, edited) ->
+      Printf.printf "-- %s\n" name;
+      iteration_edit ~name ~timing ~options ~diagram ~reliability edited)
+    edits
 
 (* ---------- same serve: warm daemon vs cold CLI ---------- *)
 

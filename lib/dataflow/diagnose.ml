@@ -184,10 +184,9 @@ let circuit_verifier ?(options = Fmea.Injection_fmea.default_options)
   | exception Fmea.Injection_fmea.Golden_run_failed why ->
       Error (Printf.sprintf "golden run failed: %s" why)
   | prepared ->
+      let lookup = Fmea.Injection_fmea.type_lookup block_types in
       let type_of element =
-        match List.assoc_opt element block_types with
-        | Some ty -> ty
-        | None -> element
+        match lookup element with Some ty -> ty | None -> element
       in
       Ok
         (fun (mode : Model.mode) ->

@@ -5,7 +5,9 @@
    (fingerprints, netlist conversions, SSAM views) are pure.  Keyed by
    [==]: content hashing is exactly the cost being avoided.  A miss on a
    structurally-equal-but-fresh value only costs the recompute, so the
-   memo can never serve a stale answer. *)
+   memo can never serve a stale answer.  Least-recently-used eviction: a
+   hit moves to the front, so a daemon session's model survives the
+   other sessions' edits between two of its own. *)
 module Ident_memo = struct
   type ('a, 'b) t = { mutable entries : ('a * 'b) list; cap : int }
 
@@ -18,11 +20,14 @@ module Ident_memo = struct
 
   let find_or ?(eq = fun a b -> a == b) m lock key compute =
     Mutex.lock lock;
-    let hit = List.find_opt (fun (k, _) -> eq k key) m.entries in
+    let hit, rest = List.partition (fun (k, _) -> eq k key) m.entries in
+    (match hit with
+    | [] -> ()
+    | entry :: _ -> m.entries <- entry :: rest);
     Mutex.unlock lock;
     match hit with
-    | Some (_, v) -> v
-    | None ->
+    | (_, v) :: _ -> v
+    | [] ->
         let v = compute () in
         Mutex.lock lock;
         m.entries <- truncate m.cap ((key, v) :: m.entries);
@@ -217,20 +222,35 @@ let golden_run t ~options ~fp_structure ~fp_options netlist =
       Stats.incr_golden_solve t.p_stats;
       p)
 
-(* Row-reuse hook: reuse a previous row verbatim only when the reuse is
-   provably bit-identical to recomputation —
+(* Row-reuse hook.  A FIT scales a row's single-point rate but cannot
+   move its classification: [Injection_fmea.compute_row] classifies from
+   the netlist, the options and the failure mode's fault model alone, and
+   [Table.make_row] is a pure function of its fields.  So a component
+   type whose reliability entry is unchanged apart from, at most, its FIT
+   ([equal_entry] once the new FIT is copied into the old entry) keeps
+   its previous rows: each is rebuilt by [make_row] with the new FIT and
+   the old impact, warning, safety-related flag and distribution, without
+   a faulted solve.  With an equal FIT the rebuild gives back the old row
+   bit for bit.  Any other entry change (distribution, failure mode,
+   fault model, an added or removed entry) re-classifies the type's rows.
+
+   Reuse is provably bit-identical to recomputation, and also requires
 
    1. the netlist fingerprint is unchanged (so the golden run and every
       faulted solve are unchanged),
-   2. the reliability entry for the row's component type is unchanged
-      (so FIT, distribution and fault models are unchanged),
-   3. the component is NOT in the [Ssam.Diff.impacted_components]
+   2. the component is NOT in the [Ssam.Diff.impacted_components]
       closure (the changed components and everything downstream are
-      re-classified, per the methodology's change-impact contract).
+      re-classified, per the methodology's change-impact contract),
+   3. the previous table holds exactly one row for the (component,
+      failure mode) pair: rows are matched by mode name, so an entry
+      that repeats a name (which the model accepts and lint flags as
+      REL004) is re-classified rather than handed its first namesake's
+      row.
 
    Returns None (no reuse at all) when the netlist moved: an electrical
    edit shifts the golden operating point, which can change any row's
-   deviation text. *)
+   deviation text.  The returned closure only reads tables built here,
+   so it is safe to call from pool domains. *)
 let reuse_hook t ~previous:prev ~diagram ~reliability ~element_types
     ~fp_netlist =
   let prev_conversion = convert t prev.prev_diagram in
@@ -271,60 +291,62 @@ let reuse_hook t ~previous:prev ~diagram ~reliability ~element_types
           Hashtbl.mem impacted
             (String.sub id (i + 1) (String.length id - i - 1))
     in
-    (* Resolved component type per element id — the same fallback rule as
-       [Injection_fmea.analyse]. *)
-    let types = Hashtbl.create 64 in
-    List.iter
-      (fun (e : Circuit.Element.t) ->
-        let id = e.Circuit.Element.id in
-        let ty =
-          match List.assoc_opt id element_types with
-          | Some ty -> ty
-          | None -> Circuit.Element.kind_name e.Circuit.Element.kind
-        in
-        Hashtbl.replace types id ty)
-      (Circuit.Netlist.elements prev_netlist);
-    (* Component types repeat across rows; compare each type once per
-       hook instead of twice per row.  Structural entry equality is
-       strictly stronger than fingerprint equality, so it can only ever
-       reuse less, never wrongly more. *)
+    (* Each element's entry verdict, resolved by the same type rule as
+       [Injection_fmea.analyse].  Component types repeat across
+       elements; compare each type's entries once.  Structural entry
+       equality is strictly stronger than fingerprint equality, so it can
+       only ever reuse less, never wrongly more. *)
+    let type_of = Fmea.Injection_fmea.type_resolver element_types in
     let entry_verdicts = Hashtbl.create 16 in
-    let entry_unchanged ty =
+    let verdict ty =
       match Hashtbl.find_opt entry_verdicts ty with
       | Some v -> v
       | None ->
+          let open Reliability.Reliability_model in
           let v =
-            match
-              ( Reliability.Reliability_model.find prev.prev_reliability ty,
-                Reliability.Reliability_model.find reliability ty )
-            with
-            | None, None -> true
-            | Some a, Some b -> Reliability.Reliability_model.equal_entry a b
-            | _ -> false
+            match (find prev.prev_reliability ty, find reliability ty) with
+            | Some a, Some b when equal_entry { a with fit = b.fit } b ->
+                `Reuse b.fit
+            | _ -> `Changed
           in
           Hashtbl.add entry_verdicts ty v;
           v
     in
+    let verdicts = Hashtbl.create 64 in
+    List.iter
+      (fun (e : Circuit.Element.t) ->
+        Hashtbl.replace verdicts e.Circuit.Element.id (verdict (type_of e)))
+      (Circuit.Netlist.elements prev_netlist);
     let prev_rows = Hashtbl.create 64 in
     List.iter
       (fun (r : Fmea.Table.row) ->
-        let k = r.Fmea.Table.component ^ "\x00" ^ r.Fmea.Table.failure_mode in
-        if not (Hashtbl.mem prev_rows k) then Hashtbl.add prev_rows k r)
+        Hashtbl.add prev_rows
+          (r.Fmea.Table.component ^ "\x00" ^ r.Fmea.Table.failure_mode)
+          r)
       prev.prev_table.Fmea.Table.rows;
     Some
       (fun ~component ~failure_mode ->
-        match Hashtbl.find_opt types component with
-        | None -> None
-        | Some ty ->
-            if is_impacted component || not (entry_unchanged ty) then None
-            else
+        let reused =
+          match Hashtbl.find_opt verdicts component with
+          | None | Some `Changed -> None
+          | Some (`Reuse _) when is_impacted component -> None
+          | Some (`Reuse fit) -> (
               match
-                Hashtbl.find_opt prev_rows (component ^ "\x00" ^ failure_mode)
+                Hashtbl.find_all prev_rows (component ^ "\x00" ^ failure_mode)
               with
-              | None -> None
-              | Some row ->
-                  Stats.incr_row_reused t.p_stats;
-                  Some row)
+              | [ r ] ->
+                  Some
+                    (Fmea.Table.make_row ~impact:r.Fmea.Table.impact
+                       ?safety_mechanism:r.Fmea.Table.safety_mechanism
+                       ?sm_coverage_pct:r.Fmea.Table.sm_coverage_pct
+                       ?warning:r.Fmea.Table.warning ~component
+                       ~component_fit:fit ~failure_mode
+                       ~distribution_pct:r.Fmea.Table.distribution_pct
+                       ~safety_related:r.Fmea.Table.safety_related ())
+              | _ -> None)
+        in
+        if Option.is_some reused then Stats.incr_row_reused t.p_stats;
+        reused)
   end
 
 let injection_fmea t ?previous ~options diagram reliability =

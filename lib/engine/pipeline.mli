@@ -14,8 +14,9 @@
       the golden run by (netlist, options) fingerprint, and — given the
       {!previous} iteration's artefacts — re-classifies only rows whose
       component falls in the [Ssam.Diff.impacted_components] closure
-      (or whose reliability entry moved); every other row is taken
-      verbatim from the previous table.
+      (or whose reliability entry moved beyond its FIT); every other
+      row is rebuilt from the previous table with its entry's current
+      FIT, without a solve.
     - {!path_fmea} / {!path_fmea_package} reuse the path sets of
       untouched components/packages via their subtree fingerprints.
     - {!optimise} reuses the per-row λ-share evaluator
@@ -76,8 +77,13 @@ val injection_fmea :
     [previous] requires all of: the extracted netlist fingerprint is
     unchanged (any electrical edit invalidates every classification —
     the golden run itself moved), the row's component is {e not} in the
-    [Ssam.Diff.impacted_components] closure of the model diff, and the
-    reliability entry for its component type is unchanged.  Raises
+    [Ssam.Diff.impacted_components] closure of the model diff, the
+    previous table holds exactly one row for its (component, failure
+    mode) pair, and the reliability entry for its component type is
+    unchanged or changed only in its FIT.  A reused row is rebuilt from
+    the previous one with {!Fmea.Table.make_row} and the new FIT (a FIT
+    never moves a classification) and counts as [rows_reused].  Passing a [prev_diagram] that is physically
+    the new diagram skips the model diff.  Raises
     {!Fmea.Injection_fmea.Golden_run_failed} like the cold path. *)
 
 val injection_fmea_fleet :

@@ -32,7 +32,8 @@ type snapshot = {
   stores : int;  (** artefacts written to the cache *)
   golden_solves : int;  (** golden (un-faulted) circuit solves *)
   rows_classified : int;  (** FMEA rows classified by fault injection *)
-  rows_reused : int;  (** FMEA rows taken verbatim from a previous table *)
+  rows_reused : int;
+      (** FMEA rows rebuilt from a previous table without a faulted solve *)
   rank_updates : int;
       (** faulted solves served by a low-rank (SMW) re-solve against the
           golden factors — including zero-delta reuses of the golden

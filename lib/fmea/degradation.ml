@@ -75,11 +75,7 @@ let analyse ?(element_types = []) ~options netlist reliability =
   let golden_traces =
     List.map (fun id -> (id, Circuit.Transient.sensor_trace golden id)) sensors
   in
-  let type_of (e : Circuit.Element.t) =
-    match List.assoc_opt e.Circuit.Element.id element_types with
-    | Some t -> t
-    | None -> Circuit.Element.kind_name e.Circuit.Element.kind
-  in
+  let type_of = Injection_fmea.type_resolver element_types in
   List.concat_map
     (fun (e : Circuit.Element.t) ->
       let id = e.Circuit.Element.id in

@@ -17,6 +17,26 @@ let default_options =
 
 type element_types = (string * string) list
 
+(* An association list indexed once, so that n lookups cost O(n), not
+   the O(n²) of a [List.assoc_opt] each.  The first binding of a key
+   wins, matching [List.assoc_opt] on duplicates. *)
+let first_binding_index bindings =
+  let index = Hashtbl.create (List.length bindings) in
+  List.iter
+    (fun (k, v) -> if not (Hashtbl.mem index k) then Hashtbl.add index k v)
+    bindings;
+  Hashtbl.find_opt index
+
+let type_lookup (element_types : element_types) =
+  first_binding_index element_types
+
+let type_resolver element_types =
+  let lookup = type_lookup element_types in
+  fun (e : Circuit.Element.t) ->
+    match lookup e.Circuit.Element.id with
+    | Some ty -> ty
+    | None -> Circuit.Element.kind_name e.Circuit.Element.kind
+
 type solver = [ `Reuse | `Refactor of Circuit.Dc.backend ]
 
 type solve_path = [ `Reused | `Rank_update of int | `Refactor ]
@@ -82,16 +102,12 @@ let prepare ?(options = default_options) ?(solver = `Reuse) netlist =
    faulty readings are indexed once — the previous per-golden-reading
    [List.assoc_opt] made this O(sensors²). *)
 let compare_readings options golden_readings faulty =
-  let faulty_readings = Hashtbl.create 16 in
-  List.iter
-    (fun (sensor, f) ->
-      (* First reading wins, matching [List.assoc_opt] on duplicates. *)
-      if not (Hashtbl.mem faulty_readings sensor) then
-        Hashtbl.add faulty_readings sensor f)
-    (Circuit.Dc.all_sensor_readings faulty);
+  let faulty_reading =
+    first_binding_index (Circuit.Dc.all_sensor_readings faulty)
+  in
   List.fold_left
     (fun acc (sensor, g) ->
-      match Hashtbl.find_opt faulty_readings sensor with
+      match faulty_reading sensor with
       | None ->
           (* The fault removed the sensor itself: the observation channel
              is lost, which violates the monitoring goal outright. *)
@@ -162,17 +178,25 @@ type injection = string * float * Reliability.Reliability_model.failure_mode
    task list. *)
 let enumerate ?(options = default_options) ?(element_types = []) netlist
     reliability =
-  let type_of (e : Circuit.Element.t) =
-    match List.assoc_opt e.Circuit.Element.id element_types with
-    | Some t -> t
-    | None -> Circuit.Element.kind_name e.Circuit.Element.kind
+  let type_of = type_resolver element_types in
+  (* [Reliability_model.find] canonicalises every entry's type on each
+     call; thousands of elements share a handful of types, so resolve
+     each type once. *)
+  let entries = Hashtbl.create 16 in
+  let entry_of ty =
+    match Hashtbl.find_opt entries ty with
+    | Some entry -> entry
+    | None ->
+        let entry = Reliability.Reliability_model.find reliability ty in
+        Hashtbl.add entries ty entry;
+        entry
   in
   List.concat_map
     (fun (e : Circuit.Element.t) ->
       let id = e.Circuit.Element.id in
       if List.exists (String.equal id) options.exclude then []
       else
-        match Reliability.Reliability_model.find reliability (type_of e) with
+        match entry_of (type_of e) with
         | None -> []
         | Some entry ->
             let fit = entry.Reliability.Reliability_model.fit in

@@ -42,6 +42,17 @@ type element_types = (string * string) list
     {!Blockdiag.To_netlist}); elements not listed fall back to their
     {!Circuit.Element.kind_name}. *)
 
+val type_lookup : element_types -> string -> string option
+(** [type_lookup types] indexes [types] once, in O(n), and returns the
+    lookup; the first binding of an id wins, as with [List.assoc_opt].
+    Partially apply it once per analysis, not once per element. *)
+
+val type_resolver : element_types -> Circuit.Element.t -> string
+(** [type_resolver types] resolves an element to its component type
+    through {!type_lookup}, falling back to the element's
+    {!Circuit.Element.kind_name} — the rule every injection analysis
+    uses. *)
+
 type solver = [ `Reuse | `Refactor of Circuit.Dc.backend ]
 (** How faulted systems are solved.  [`Reuse] (the default) factorises
     the golden MNA system once and serves every injection as a low-rank

@@ -96,8 +96,8 @@ let handle_open t ~o_diagram ~o_reliability ~o_params =
               Protocol.error (Printf.sprintf "golden simulation failed: %s" m)
           | table ->
               let s =
-                Session.open_session t.sessions ~options ~diagram ~reliability
-                  ~table
+                Session.open_session t.sessions ~options ~diagram
+                  ~diagram_text:o_diagram ~reliability ~table
               in
               Protocol.ok
                 [
@@ -110,11 +110,22 @@ let handle_open t ~o_diagram ~o_reliability ~o_params =
                 ]))
 
 (* Rows of [table] absent from [previous] (matched on the full row, so a
-   changed classification reports as changed).  Analysis order is kept. *)
+   changed classification reports as changed).  Analysis order is kept.
+   Equal rows share their component and failure mode, so the previous
+   rows are bucketed on that pair and each row is compared only with its
+   bucket; a row equal to any previous row counts as unchanged, however
+   often either table repeats it. *)
 let changed_rows ~previous table =
+  let key (r : Fmea.Table.row) =
+    r.Fmea.Table.component ^ "\x00" ^ r.Fmea.Table.failure_mode
+  in
+  let buckets = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.add buckets (key r) r) previous.Fmea.Table.rows;
   List.filter
     (fun row ->
-      not (List.exists (Fmea.Table.equal_row row) previous.Fmea.Table.rows))
+      not
+        (List.exists (Fmea.Table.equal_row row)
+           (Hashtbl.find_all buckets (key row))))
     table.Fmea.Table.rows
 
 let row_json (r : Fmea.Table.row) =
@@ -132,28 +143,29 @@ let handle_edit t ~e_session ~e_diagram ~e_reliability =
   match Session.find t.sessions e_session with
   | None -> Protocol.error (Printf.sprintf "no such session %S" e_session)
   | Some s -> (
-      let parsed_diagram =
-        match e_diagram with
-        | None -> Ok None
-        | Some text -> Result.map Option.some (Handlers.parse_diagram text)
-      in
       let parsed_reliability =
         match e_reliability with
         | None -> Ok None
         | Some text ->
             Result.map Option.some (Handlers.parse_reliability (Some text))
       in
+      (* Serialise edits to one session: the reuse baseline must be the
+         table this edit replaces.  The resent-text check reads
+         [s_diagram_text] and [s_diagram] in this same critical section,
+         so a concurrent edit cannot swap the diagram between the check
+         and its use. *)
+      Mutex.lock s.Session.s_lock;
+      Fun.protect ~finally:(fun () -> Mutex.unlock s.Session.s_lock)
+      @@ fun () ->
+      let parsed_diagram =
+        match e_diagram with
+        | Some text when not (String.equal text s.Session.s_diagram_text) ->
+            Result.map (fun d -> (d, text)) (Handlers.parse_diagram text)
+        | Some _ | None -> Ok (s.Session.s_diagram, s.Session.s_diagram_text)
+      in
       match (parsed_diagram, parsed_reliability) with
       | Error m, _ | _, Error m -> Protocol.error m
-      | Ok new_diagram, Ok new_reliability -> (
-          (* Serialise edits to one session: the reuse baseline must be
-             the table this edit replaces. *)
-          Mutex.lock s.Session.s_lock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock s.Session.s_lock)
-          @@ fun () ->
-          let diagram =
-            Option.value new_diagram ~default:s.Session.s_diagram
-          in
+      | Ok (diagram, diagram_text), Ok new_reliability -> (
           let reliability =
             Option.value new_reliability ~default:s.Session.s_reliability
           in
@@ -178,6 +190,7 @@ let handle_edit t ~e_session ~e_diagram ~e_reliability =
                 changed_rows ~previous:s.Session.s_table table
               in
               s.Session.s_diagram <- diagram;
+              s.Session.s_diagram_text <- diagram_text;
               s.Session.s_reliability <- reliability;
               s.Session.s_table <- table;
               s.Session.s_revision <- s.Session.s_revision + 1;

@@ -54,6 +54,12 @@ val wait : t -> unit
 
 val stats : t -> stats
 
+val changed_rows : previous:Fmea.Table.t -> Fmea.Table.t -> Fmea.Table.row list
+(** The rows of the new table that equal no row of [previous], in the new
+    table's order — an edit reply's [changed_rows].  Linear in the two
+    tables: rows are compared only with previous rows of the same
+    (component, failure mode). *)
+
 val engine : t -> Engine.Pipeline.t
 (** The server's warm pipeline (exposed for tests and benchmarks). *)
 

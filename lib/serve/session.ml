@@ -3,6 +3,7 @@ type session = {
   s_lock : Mutex.t;
   s_options : Fmea.Injection_fmea.options;
   mutable s_diagram : Blockdiag.Diagram.t;
+  mutable s_diagram_text : string;
   mutable s_reliability : Reliability.Reliability_model.t;
   mutable s_table : Fmea.Table.t;
   mutable s_revision : int;
@@ -17,7 +18,7 @@ type t = {
 let create () =
   { lock = Mutex.create (); sessions = Hashtbl.create 16; next = 0 }
 
-let open_session t ~options ~diagram ~reliability ~table =
+let open_session t ~options ~diagram ~diagram_text ~reliability ~table =
   Mutex.lock t.lock;
   t.next <- t.next + 1;
   let s =
@@ -26,6 +27,7 @@ let open_session t ~options ~diagram ~reliability ~table =
       s_lock = Mutex.create ();
       s_options = options;
       s_diagram = diagram;
+      s_diagram_text = diagram_text;
       s_reliability = reliability;
       s_table = table;
       s_revision = 0;

@@ -15,11 +15,20 @@
 
 type session = {
   s_id : string;
-  s_lock : Mutex.t;
+  s_lock : Mutex.t;  (** guards every mutable field below *)
   s_options : Fmea.Injection_fmea.options;
   mutable s_diagram : Blockdiag.Diagram.t;
+      (** the diagram of the last successful analysis *)
+  mutable s_diagram_text : string;
+      (** the text [s_diagram] was parsed from.  An edit that resends
+          byte-equal text reuses [s_diagram] itself instead of parsing a
+          fresh value, so the engine's identity memos (netlist
+          conversion, fingerprints, SSAM view) all hit and the reuse
+          hook sees [prev_diagram == diagram].  Compared and updated
+          under [s_lock], together with [s_diagram]. *)
   mutable s_reliability : Reliability.Reliability_model.t;
   mutable s_table : Fmea.Table.t;
+      (** the analysis of [s_diagram] and [s_reliability] *)
   mutable s_revision : int;
 }
 
@@ -31,6 +40,7 @@ val open_session :
   t ->
   options:Fmea.Injection_fmea.options ->
   diagram:Blockdiag.Diagram.t ->
+  diagram_text:string ->
   reliability:Reliability.Reliability_model.t ->
   table:Fmea.Table.t ->
   session

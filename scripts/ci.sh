@@ -204,6 +204,18 @@ for e in inc:
                  f"than cold {e['cold_s'] * 1e3:.2f} ms")
     if not e["identical"]:
         sys.exit(f"{e['name']}: warm table != cold table")
+by_name = {e["name"]: e for e in inc}
+fit = by_name.get("system-b/mcu-fit-edit")
+dist = by_name.get("system-b/mcu-distribution-edit")
+if not fit or not dist:
+    sys.exit("incremental section is missing an edit")
+# A FIT-only edit is re-priced from the previous rows without a solve;
+# a distribution edit must still re-classify.
+if fit["warm_solves"] != 0:
+    sys.exit(f"{fit['name']}: {fit['warm_solves']:.0f} warm solves for a "
+             f"FIT-only edit")
+if dist["warm_solves"] <= 0:
+    sys.exit(f"{dist['name']}: the edit re-classified nothing")
 print("incremental OK: " + ", ".join(
     f"{e['name']} warm {e['warm_s'] * 1e3:.2f} ms vs cold "
     f"{e['cold_s'] * 1e3:.2f} ms" for e in inc))

@@ -372,6 +372,204 @@ let test_system_b_fewer_solves () =
   Alcotest.(check bool) "rows were reused" true
     (warm.Engine.Stats.rows_reused > 0)
 
+(* ---------- pipeline: the per-type entry verdict ---------- *)
+
+(* The case-study subjects with the options their analyses use. *)
+let subjects =
+  let systems_options =
+    {
+      Fmea.Injection_fmea.default_options with
+      exclude = [ "DC1"; "BAT1" ];
+      monitored_sensors = Some [ "CS1"; "CS2"; "VS1" ];
+    }
+  in
+  let of_subject (s : Decisive.Systems.subject) =
+    ( s.Decisive.Systems.subject_name,
+      s.Decisive.Systems.diagram,
+      s.Decisive.Systems.reliability,
+      systems_options )
+  in
+  [
+    ( "psu",
+      Decisive.Case_study.power_supply_diagram,
+      Decisive.Case_study.reliability_model,
+      Decisive.Case_study.injection_options );
+    of_subject Decisive.Systems.system_a;
+    of_subject Decisive.Systems.system_b;
+  ]
+
+let map_entries f rm =
+  Reliability.Reliability_model.of_entries
+    (List.map f (Reliability.Reliability_model.entries rm))
+
+(* Warm re-analysis against [previous = (diagram, r1)] on a fresh
+   engine, with the stats of the warm run alone. *)
+let warm_after ~options diagram r1 r2 =
+  let engine = Engine.Pipeline.create () in
+  let prev_table = Engine.Pipeline.injection_fmea engine ~options diagram r1 in
+  Engine.Stats.reset (Engine.Pipeline.stats engine);
+  let warm =
+    Engine.Pipeline.injection_fmea engine
+      ~previous:
+        { Engine.Pipeline.prev_diagram = diagram; prev_reliability = r1; prev_table }
+      ~options diagram r2
+  in
+  (warm, Engine.Pipeline.snapshot engine)
+
+(* A FIT cannot move a classification, so scaling every type's FIT is
+   re-priced from the previous rows: not one faulted or golden solve,
+   and the table — down to the bits of every single-point rate — is the
+   cold analysis of the scaled model. *)
+let prop_fit_only_edit_is_repriced =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* subject = oneofl subjects in
+      let* seed = int_bound 1_000_000 in
+      let* jobs = oneofl [ 1; 4 ] in
+      return (subject, seed, jobs))
+  in
+  let print ((name, _, _, _), seed, jobs) =
+    Printf.sprintf "%s seed=%d jobs=%d" name seed jobs
+  in
+  Test.make ~count:12 ~name:"FIT-only edits re-price without solving"
+    (make ~print gen) (fun ((_, diagram, r1, options), seed, jobs) ->
+      let saved = Exec.default_jobs () in
+      Fun.protect
+        ~finally:(fun () -> Exec.set_default_jobs saved)
+        (fun () ->
+          Exec.set_default_jobs jobs;
+          let rng = Random.State.make [| seed |] in
+          let r2 =
+            map_entries
+              (fun e ->
+                {
+                  e with
+                  Reliability.Reliability_model.fit =
+                    e.Reliability.Reliability_model.fit
+                    *. (0.25 +. Random.State.float rng 4.0);
+                })
+              r1
+          in
+          let warm, stats = warm_after ~options diagram r1 r2 in
+          let cold = analyse_cold ~options diagram r2 in
+          let bits (r : Fmea.Table.row) =
+            Int64.bits_of_float r.Fmea.Table.single_point_fit
+          in
+          Fmea.Table.equal warm cold
+          && List.map bits warm.Fmea.Table.rows
+             = List.map bits cold.Fmea.Table.rows
+          && stats.Engine.Stats.rows_classified = 0
+          && Engine.Stats.solves_performed stats = 0
+          && stats.Engine.Stats.rows_reused = List.length cold.Fmea.Table.rows))
+
+(* Any other entry edit — a distribution, a failure mode, a fault model
+   — re-classifies exactly the edited type's rows, and a removed type's
+   rows disappear; every other row is reused. *)
+let test_entry_edits_reclassify () =
+  let diagram = Decisive.Case_study.power_supply_diagram in
+  let r1 = Decisive.Case_study.reliability_model in
+  let options = Decisive.Case_study.injection_options in
+  let conv = Blockdiag.To_netlist.convert diagram in
+  let type_of =
+    Fmea.Injection_fmea.type_lookup conv.Blockdiag.To_netlist.block_types
+  in
+  let is_diode c =
+    match type_of c with
+    | Some ty -> String.lowercase_ascii ty = "diode"
+    | None -> false
+  in
+  let edit_diode f =
+    map_entries
+      (fun e ->
+        if String.lowercase_ascii e.Reliability.Reliability_model.component_type
+           = "diode"
+        then
+          {
+            e with
+            Reliability.Reliability_model.failure_modes =
+              f e.Reliability.Reliability_model.failure_modes;
+          }
+        else e)
+      r1
+  in
+  let open Reliability.Reliability_model in
+  let edits =
+    [
+      ( "distribution",
+        edit_diode
+          (List.map (fun fm ->
+               { fm with distribution_pct = 100.0 -. fm.distribution_pct })) );
+      ( "failure mode",
+        edit_diode (List.map (fun fm -> { fm with fm_name = fm.fm_name ^ "'" }))
+      );
+      ( "fault model",
+        edit_diode
+          (List.map (fun fm ->
+               { fm with fault = Some Circuit.Fault.Open_circuit })) );
+      ( "removed type",
+        of_entries
+          (List.filter
+             (fun e -> String.lowercase_ascii e.component_type <> "diode")
+             (entries r1)) );
+    ]
+  in
+  List.iter
+    (fun (what, r2) ->
+      let warm, stats = warm_after ~options diagram r1 r2 in
+      let cold = analyse_cold ~options diagram r2 in
+      Alcotest.check table (what ^ ": warm equals cold") cold warm;
+      let diode_rows, other_rows =
+        List.partition
+          (fun (r : Fmea.Table.row) -> is_diode r.Fmea.Table.component)
+          cold.Fmea.Table.rows
+      in
+      Alcotest.(check bool) (what ^ ": the psu has diode rows") true
+        (what = "removed type" || diode_rows <> []);
+      Alcotest.(check int)
+        (what ^ ": every diode row re-classified")
+        (List.length diode_rows) stats.Engine.Stats.rows_classified;
+      Alcotest.(check int)
+        (what ^ ": every other row reused")
+        (List.length other_rows) stats.Engine.Stats.rows_reused)
+    edits
+
+(* Rows are matched by (component, failure-mode name); an entry that
+   repeats a name must not hand both modes the first one's row. *)
+let test_repeated_mode_name_not_conflated () =
+  let diagram = Decisive.Case_study.power_supply_diagram in
+  let options = Decisive.Case_study.injection_options in
+  let open Reliability.Reliability_model in
+  let r1 =
+    map_entries
+      (fun e ->
+        if String.lowercase_ascii e.component_type = "diode" then
+          {
+            e with
+            failure_modes =
+              List.map (fun fm -> { fm with fm_name = "Failure" }) e.failure_modes;
+          }
+        else e)
+      Decisive.Case_study.reliability_model
+  in
+  let r2 =
+    map_entries
+      (fun e ->
+        if String.lowercase_ascii e.component_type = "inductor" then
+          { e with fit = e.fit +. 5.0 }
+        else e)
+      r1
+  in
+  let warm, _ = warm_after ~options diagram r1 r2 in
+  let cold = analyse_cold ~options diagram r2 in
+  Alcotest.(check bool) "the diode rows repeat a name" true
+    (List.length
+       (List.filter
+          (fun (r : Fmea.Table.row) -> r.Fmea.Table.failure_mode = "Failure")
+          cold.Fmea.Table.rows)
+    >= 2);
+  Alcotest.check table "warm equals cold" cold warm
+
 (* ---------- pipeline: search and path stages ---------- *)
 
 let test_optimise_warm_equals_cold () =
@@ -571,6 +769,11 @@ let suite =
     Alcotest.test_case "pipeline: warm equals cold" `Quick
       test_warm_equals_cold_basic;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    QCheck_alcotest.to_alcotest prop_fit_only_edit_is_repriced;
+    Alcotest.test_case "pipeline: entry edits reclassify" `Quick
+      test_entry_edits_reclassify;
+    Alcotest.test_case "pipeline: repeated mode names" `Quick
+      test_repeated_mode_name_not_conflated;
     Alcotest.test_case "pipeline: System B fewer solves" `Quick
       test_system_b_fewer_solves;
     Alcotest.test_case "pipeline: optimise warm equals cold" `Quick

@@ -7,22 +7,22 @@ let tmp_socket () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "same-test-%d-%d.sock" (Unix.getpid ()) (Random.int 100000))
 
+let reliability_csv m =
+  match
+    (Reliability.Reliability_model.to_spreadsheet m).Modelio.Spreadsheet.sheets
+  with
+  | { Modelio.Spreadsheet.table; _ } :: _ ->
+      Modelio.Csv.to_string (table.Modelio.Csv.header :: table.Modelio.Csv.rows)
+  | [] -> ""
+
 let system_b_texts () =
   let subject = Decisive.Systems.system_b in
   let path = Filename.temp_file "serve-test" ".bd" in
   Blockdiag.Text_format.write_file path subject.Decisive.Systems.diagram;
   let diagram = In_channel.with_open_bin path In_channel.input_all in
   Sys.remove path;
-  let reliability m =
-    match
-      (Reliability.Reliability_model.to_spreadsheet m).Modelio.Spreadsheet.sheets
-    with
-    | { Modelio.Spreadsheet.table; _ } :: _ ->
-        Modelio.Csv.to_string (table.Modelio.Csv.header :: table.Modelio.Csv.rows)
-    | [] -> ""
-  in
-  (diagram, reliability subject.Decisive.Systems.reliability,
-   subject.Decisive.Systems.reliability, reliability)
+  (diagram, reliability_csv subject.Decisive.Systems.reliability,
+   subject.Decisive.Systems.reliability, reliability_csv)
 
 (* ---------- protocol ---------- *)
 
@@ -345,6 +345,294 @@ let test_server_incremental_session () =
             (String.length m > 0)
       | Ok _ -> Alcotest.fail "edit of unknown session succeeded")
 
+(* ---------- sessions: resent diagrams ---------- *)
+
+(* The Fig. 11 power supply, and two electrical variants of it: without
+   the filter inductor (two rows fewer), and with a second source in
+   parallel (parses, but the golden run is singular). *)
+let psu_text =
+  {|diagram psu {
+  block DC1 : vsource { volts = 5; }
+  block D1 : diode;
+  block C1 : capacitor { farads = 1e-5; }
+  block L1 : inductor { henries = 0.001; }
+  block C2 : capacitor { farads = 1e-5; }
+  block CS1 : current_sensor;
+  block MC1 : microcontroller { ohms = 100; }
+  block GND1 : ground ports (conserving a);
+  connect DC1.a -> D1.a;
+  connect D1.b -> C1.a;
+  connect D1.b -> L1.a;
+  connect L1.b -> C2.a;
+  connect L1.b -> CS1.a;
+  connect CS1.b -> MC1.a;
+  connect MC1.b -> GND1.a;
+  connect DC1.b -> GND1.a;
+  connect C1.b -> GND1.a;
+  connect C2.b -> GND1.a;
+}
+|}
+
+let psu_rows = 9
+
+let psu_without_l1_text =
+  {|diagram psu {
+  block DC1 : vsource { volts = 5; }
+  block D1 : diode;
+  block C1 : capacitor { farads = 1e-5; }
+  block C2 : capacitor { farads = 1e-5; }
+  block CS1 : current_sensor;
+  block MC1 : microcontroller { ohms = 100; }
+  block GND1 : ground ports (conserving a);
+  connect DC1.a -> D1.a;
+  connect D1.b -> C1.a;
+  connect D1.b -> C2.a;
+  connect D1.b -> CS1.a;
+  connect CS1.b -> MC1.a;
+  connect MC1.b -> GND1.a;
+  connect DC1.b -> GND1.a;
+  connect C1.b -> GND1.a;
+  connect C2.b -> GND1.a;
+}
+|}
+
+let psu_without_l1_rows = 7
+
+let psu_singular_text =
+  {|diagram psu {
+  block DC1 : vsource { volts = 5; }
+  block DC2 : vsource { volts = 3; }
+  block D1 : diode;
+  block MC1 : microcontroller { ohms = 100; }
+  block GND1 : ground ports (conserving a);
+  connect DC1.a -> D1.a;
+  connect DC2.a -> D1.a;
+  connect D1.b -> MC1.a;
+  connect MC1.b -> GND1.a;
+  connect DC1.b -> GND1.a;
+  connect DC2.b -> GND1.a;
+}
+|}
+
+(* Table II with one type's FIT raised by [delta]. *)
+let table_ii_csv ?(ty = "microcontroller") delta =
+  let m = Reliability.Reliability_model.table_ii in
+  reliability_csv
+    (match Reliability.Reliability_model.find m ty with
+    | Some e ->
+        Reliability.Reliability_model.add m
+          { e with Reliability.Reliability_model.fit =
+              e.Reliability.Reliability_model.fit +. delta }
+    | None -> Alcotest.fail ("Table II has no " ^ ty))
+
+let with_client socket f =
+  match Serve.Client.connect socket with
+  | Error m -> Alcotest.fail m
+  | Ok client ->
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) (fun () ->
+          f client)
+
+let open_psu client =
+  member_str "session"
+    (rpc client
+       (Serve.Protocol.Open_session
+          {
+            o_diagram = psu_text;
+            o_reliability = Some (table_ii_csv 0.0);
+            o_params = [ ("exclude", "DC1") ];
+          }))
+
+let edit ?diagram ?reliability session =
+  Serve.Protocol.Edit
+    { e_session = session; e_diagram = diagram; e_reliability = reliability }
+
+let changed_count json =
+  match Modelio.Json.member "changed_rows" json with
+  | Some (Modelio.Json.List l) -> List.length l
+  | _ -> Alcotest.fail "no changed_rows in edit response"
+
+(* Resending the session's diagram byte for byte is the edit that omits
+   it: the same reply, counters included, over a whole edit stream. *)
+let test_session_resend_equals_omit () =
+  let stream ~resend =
+    with_server @@ fun _server socket ->
+    with_client socket @@ fun client ->
+    let session = open_psu client in
+    let diagram = if resend then Some psu_text else None in
+    List.map
+      (fun reliability ->
+        Modelio.Json.to_string
+          (rpc client (edit ?diagram ~reliability session)))
+      [
+        table_ii_csv 50.0;
+        table_ii_csv ~ty:"diode" 5.0;
+        table_ii_csv ~ty:"inductor" 1.0;
+        table_ii_csv 0.0;
+      ]
+  in
+  Alcotest.(check (list string))
+    "replies" (stream ~resend:false) (stream ~resend:true)
+
+(* A rejected edit changes neither the stored text nor the diagram: the
+   same bad text is rejected again (it was not recorded as the session's
+   text), and an edit that omits the diagram still analyses the last
+   good one. *)
+let test_session_failed_edit_keeps_state () =
+  with_server @@ fun _server socket ->
+  with_client socket @@ fun client ->
+  let session = open_psu client in
+  let rejected what text =
+    for _ = 1 to 2 do
+      match Serve.Client.rpc client (edit ~diagram:text session) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (what ^ " accepted")
+    done
+  in
+  rejected "unparsable diagram" "diagram psu {\n  block";
+  rejected "singular diagram" psu_singular_text;
+  let after = rpc client (edit ~reliability:(table_ii_csv 50.0) session) in
+  Alcotest.(check int) "analysed the last good diagram" psu_rows
+    (member_num "rows" after);
+  Alcotest.(check int) "revision counts accepted edits only" 1
+    (member_num "revision" after);
+  Alcotest.(check int) "only the MCU row moved" 1 (changed_count after);
+  let resent =
+    rpc client
+      (edit ~diagram:psu_text ~reliability:(table_ii_csv 50.0) session)
+  in
+  Alcotest.(check int) "resend changes nothing" 0 (changed_count resent);
+  Alcotest.(check int) "resend solves nothing" 0 (member_num "solves" resent)
+
+(* After a resend, an electrical edit is analysed against its own text —
+   not the session's diagram — and so is the return to the original. *)
+let test_session_electrical_edit_after_resend () =
+  with_server @@ fun _server socket ->
+  with_client socket @@ fun client ->
+  let session = open_psu client in
+  let resent = rpc client (edit ~diagram:psu_text session) in
+  Alcotest.(check int) "resend changes nothing" 0 (changed_count resent);
+  let cold text =
+    match Serve.Handlers.parse_diagram text with
+    | Error m -> Alcotest.fail m
+    | Ok d ->
+        let conv = Blockdiag.To_netlist.convert d in
+        Fmea.Injection_fmea.analyse ~options:Decisive.Case_study.injection_options
+          ~element_types:conv.Blockdiag.To_netlist.block_types
+          conv.Blockdiag.To_netlist.netlist Reliability.Reliability_model.table_ii
+  in
+  let full = cold psu_text and without_l1 = cold psu_without_l1_text in
+  let check what text ~previous table =
+    let reply = rpc client (edit ~diagram:text session) in
+    Alcotest.(check int) (what ^ ": rows") (List.length table.Fmea.Table.rows)
+      (member_num "rows" reply);
+    Alcotest.(check int) (what ^ ": changed rows")
+      (List.length (Serve.Server.changed_rows ~previous table))
+      (changed_count reply)
+  in
+  Alcotest.(check int) "the variant drops L1's rows" psu_without_l1_rows
+    (List.length without_l1.Fmea.Table.rows);
+  check "electrical edit" psu_without_l1_text ~previous:full without_l1;
+  check "back to the original" psu_text ~previous:without_l1 full
+
+(* Two clients editing one session at once: every edit is analysed
+   against the diagram its own text describes, whichever edit ran
+   before it, and the session ends consistent.  A resent-text check made
+   outside the session lock fails this: the other client can swap the
+   session's diagram between the check and its use. *)
+let test_session_concurrent_edits () =
+  with_server @@ fun _server socket ->
+  let session = with_client socket open_psu in
+  let rounds = 24 in
+  let failures = Atomic.make [] in
+  let fail m =
+    let rec push () =
+      let l = Atomic.get failures in
+      if not (Atomic.compare_and_set failures l (m :: l)) then push ()
+    in
+    push ()
+  in
+  let client_thread requests =
+    Thread.create
+      (fun () ->
+        with_client socket @@ fun client ->
+        List.iter
+          (fun (request, expected_rows) ->
+            match Serve.Client.rpc client request with
+            | Error m -> fail m
+            | Ok reply -> (
+                match Modelio.Json.(Option.bind (member "rows" reply) to_float) with
+                | Some n when int_of_float n = expected_rows -> ()
+                | _ ->
+                    fail
+                      (Printf.sprintf "expected %d rows: %s" expected_rows
+                         (Modelio.Json.to_string reply))))
+          requests)
+      ()
+  in
+  let resends =
+    List.init rounds (fun i ->
+        ( edit ~diagram:psu_text
+            ~reliability:(table_ii_csv (float_of_int (i + 1)))
+            session,
+          psu_rows ))
+  in
+  let electrical =
+    List.init rounds (fun i ->
+        if i mod 2 = 0 then
+          (edit ~diagram:psu_without_l1_text session, psu_without_l1_rows)
+        else (edit ~diagram:psu_text session, psu_rows))
+  in
+  List.iter Thread.join [ client_thread resends; client_thread electrical ];
+  (match Atomic.get failures with
+  | [] -> ()
+  | m :: _ -> Alcotest.fail m);
+  with_client socket @@ fun client ->
+  let settle = rpc client (edit ~diagram:psu_text session) in
+  Alcotest.(check int) "every edit counted" ((2 * rounds) + 1)
+    (member_num "revision" settle);
+  let dropped = rpc client (edit ~diagram:psu_without_l1_text session) in
+  Alcotest.(check int) "text and diagram stayed together" psu_without_l1_rows
+    (member_num "rows" dropped)
+
+(* ---------- changed rows ---------- *)
+
+let test_changed_rows_order_and_duplicates () =
+  let row component failure_mode dist =
+    Fmea.Table.make_row ~component ~component_fit:10.0 ~failure_mode
+      ~distribution_pct:dist ~safety_related:true ()
+  in
+  let tbl rows = { Fmea.Table.system_name = "t"; rows } in
+  let previous =
+    tbl
+      [
+        row "A" "open" 30.0;
+        row "A" "open" 30.0;
+        row "A" "open" 50.0;
+        row "B" "short" 70.0;
+      ]
+  in
+  let next =
+    tbl
+      [
+        row "C" "open" 50.0;
+        row "B" "short" 70.0;
+        row "A" "open" 40.0;
+        row "A" "open" 30.0;
+        row "A" "open" 50.0;
+        row "A" "open" 30.0;
+        row "B" "open" 70.0;
+      ]
+  in
+  let names =
+    List.map (fun (r : Fmea.Table.row) ->
+        Printf.sprintf "%s/%s/%g" r.Fmea.Table.component r.Fmea.Table.failure_mode
+          r.Fmea.Table.distribution_pct)
+  in
+  Alcotest.(check (list string))
+    "new and moved rows, in analysis order; repeats of an old row are unchanged"
+    [ "C/open/50"; "A/open/40"; "B/open/70" ]
+    (names (Serve.Server.changed_rows ~previous next))
+
 let suite =
   [
     Alcotest.test_case "protocol: request round-trip" `Quick test_protocol_roundtrip;
@@ -363,4 +651,14 @@ let suite =
       test_server_coalesces_concurrent;
     Alcotest.test_case "server: incremental session reuses rows" `Quick
       test_server_incremental_session;
+    Alcotest.test_case "session: resent diagram equals omitted" `Quick
+      test_session_resend_equals_omit;
+    Alcotest.test_case "session: failed edit keeps state" `Quick
+      test_session_failed_edit_keeps_state;
+    Alcotest.test_case "session: electrical edit after resend" `Quick
+      test_session_electrical_edit_after_resend;
+    Alcotest.test_case "session: concurrent edits to one session" `Quick
+      test_session_concurrent_edits;
+    Alcotest.test_case "changed rows: order and duplicates" `Quick
+      test_changed_rows_order_and_duplicates;
   ]
