@@ -1,10 +1,3 @@
-type solution = {
-  voltages : (string, float) Hashtbl.t;
-  currents : (string, float) Hashtbl.t;
-  current_sensors : (string * float) list;
-  voltage_sensors : (string * float) list;
-}
-
 type error = Singular_system of string | No_convergence of int
 
 let pp_error ppf = function
@@ -77,9 +70,13 @@ type base =
 
 type prepared = {
   elements : Element.t array;
-  node_names : string list;
   n_nodes : int;
   size : int;
+  (* Node name -> unknown index (ground absent), element id -> position
+     in [elements]: hashed once per named query or injected element;
+     building a solution and reading its observables never hash. *)
+  node_index : (string, int) Hashtbl.t;
+  element_index : (string, int) Hashtbl.t;
   (* Per-element resolved unknown indices: None = ground. *)
   el_a : int option array;
   el_b : int option array;
@@ -99,10 +96,14 @@ let backend_used p =
 let prepare ?(gmin = 1e-9) ?(backend = `Auto) netlist =
   let elements = Array.of_list (Netlist.elements netlist) in
   let node_names = Netlist.nodes netlist in
-  let node_index = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.add node_index n i) node_names;
   let n_nodes = List.length node_names in
+  let node_index = Hashtbl.create n_nodes in
+  List.iteri (fun i n -> Hashtbl.add node_index n i) node_names;
   let n_elements = Array.length elements in
+  let element_index = Hashtbl.create n_elements in
+  Array.iteri
+    (fun i (e : Element.t) -> Hashtbl.replace element_index e.Element.id i)
+    elements;
   let el_branch = Array.make n_elements (-1) in
   let next_branch = ref n_nodes in
   Array.iteri
@@ -213,9 +214,10 @@ let prepare ?(gmin = 1e-9) ?(backend = `Auto) netlist =
   in
   {
     elements;
-    node_names;
     n_nodes;
     size;
+    node_index;
+    element_index;
     el_a;
     el_b;
     el_branch;
@@ -365,45 +367,54 @@ let solve_raw ?(max_iterations = 200) ?(max_step_param = 0.5) p =
       solve_once
       (Array.make p.size 0.0)
 
-(* ---------- observable extraction ---------- *)
+(* ---------- observables ----------
 
-(* [elements] is passed explicitly so the injection path can extract with
-   one element's kind swapped for its faulted kind while reusing the
-   golden topology (node/branch numbering is unchanged by faults). *)
+   A solution is the unknown vector plus the element kinds it was solved
+   with; every observable is read from it on demand.  [elements] is
+   passed explicitly so the injection path can keep one element's kind
+   swapped for its faulted kind while reusing the golden topology
+   (node/branch numbering is unchanged by faults).  Only the sensor
+   readings — which every FMEA row compares — are computed eagerly. *)
+
+type solution = {
+  p : prepared;
+  elements : Element.t array;
+  x : float array;
+  current_sensors : (string * float) list;
+  voltage_sensors : (string * float) list;
+}
+
+(* Current a -> b through element [idx] under the given kinds. *)
+let[@inline] current_at p (elements : Element.t array) x idx =
+  let va = node_v x p.el_a.(idx) and vb = node_v x p.el_b.(idx) in
+  match elements.(idx).Element.kind with
+  | Element.Resistor r | Element.Load r -> (va -. vb) /. r
+  | Element.Switch true -> (va -. vb) /. closed_switch_resistance
+  | Element.Switch false | Element.Capacitor _ | Element.Voltage_sensor -> 0.0
+  | Element.Isource amps -> amps
+  | Element.Diode prm -> diode_current prm (va -. vb)
+  | Element.Vsource _ | Element.Inductor _ | Element.Current_sensor ->
+      x.(p.el_branch.(idx))
+
 let extract p (elements : Element.t array) x =
-  let voltages = Hashtbl.create 16 in
-  Hashtbl.add voltages Netlist.ground 0.0;
-  List.iteri (fun i n -> Hashtbl.add voltages n x.(i)) p.node_names;
-  let uv = function Some i -> x.(i) | None -> 0.0 in
-  let currents = Hashtbl.create 16 in
   let current_sensors = ref [] in
   let voltage_sensors = ref [] in
   Array.iteri
     (fun idx (e : Element.t) ->
-      let va = uv p.el_a.(idx) and vb = uv p.el_b.(idx) in
-      let current =
-        match e.Element.kind with
-        | Element.Resistor r | Element.Load r -> (va -. vb) /. r
-        | Element.Switch true -> (va -. vb) /. closed_switch_resistance
-        | Element.Switch false | Element.Capacitor _ | Element.Voltage_sensor
-          ->
-            0.0
-        | Element.Isource amps -> amps
-        | Element.Diode prm -> diode_current prm (va -. vb)
-        | Element.Vsource _ | Element.Inductor _ | Element.Current_sensor ->
-            x.(p.el_branch.(idx))
-      in
-      Hashtbl.replace currents e.Element.id current;
-      (match e.Element.kind with
+      match e.Element.kind with
       | Element.Current_sensor ->
-          current_sensors := (e.Element.id, current) :: !current_sensors
+          current_sensors :=
+            (e.Element.id, current_at p elements x idx) :: !current_sensors
       | Element.Voltage_sensor ->
-          voltage_sensors := (e.Element.id, va -. vb) :: !voltage_sensors
-      | _ -> ()))
+          voltage_sensors :=
+            (e.Element.id, node_v x p.el_a.(idx) -. node_v x p.el_b.(idx))
+            :: !voltage_sensors
+      | _ -> ())
     elements;
   {
-    voltages;
-    currents;
+    p;
+    elements;
+    x;
     current_sensors = List.rev !current_sensors;
     voltage_sensors = List.rev !voltage_sensors;
   }
@@ -439,7 +450,6 @@ type golden = {
   g_solution : solution;
   (* Per p.diodes entry: companion (g, i_eq) baked into g_a/g_b. *)
   g_diode_op : (float * float) array;
-  g_index : (string, int) Hashtbl.t; (* element id -> index *)
 }
 
 let solve_factored_v f b =
@@ -483,10 +493,6 @@ let factorise ?max_iterations ?max_step_param p =
               (fun (idx, prm) -> diode_companion p x_star idx prm)
               p.diodes
           in
-          let g_index = Hashtbl.create 64 in
-          Array.iteri
-            (fun i (e : Element.t) -> Hashtbl.replace g_index e.Element.id i)
-            p.elements;
           Ok
             {
               g_p = p;
@@ -496,7 +502,6 @@ let factorise ?max_iterations ?max_step_param p =
               g_x;
               g_solution = extract p p.elements g_x;
               g_diode_op;
-              g_index;
             })
 
 let golden_solution g = g.g_solution
@@ -510,7 +515,7 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
     ?(on_path = fun _ -> ()) g ~element_id fault =
   let p = g.g_p in
   let idx =
-    match Hashtbl.find_opt g.g_index element_id with
+    match Hashtbl.find_opt p.element_index element_id with
     | Some i -> i
     | None -> raise Not_found
   in
@@ -623,8 +628,14 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
   else begin
     let n = p.size in
     let base_solve b = solve_factored_v g.g_fact b in
-    let b_fault = Array.copy g.g_b in
-    List.iter (fun (i, d) -> b_fault.(i) <- b_fault.(i) +. d) !rhs;
+    let b_fault =
+      if !rhs = [] then g.g_b
+      else begin
+        let b = Array.copy g.g_b in
+        List.iter (fun (i, d) -> b.(i) <- b.(i) +. d) !rhs;
+        b
+      end
+    in
     (* Diodes other than the faulted element stay active: their golden
        companion stamps are inside the factors, so each Newton iteration
        contributes (g(v) − g_op) rank-1 corrections on top of the fault's
@@ -648,7 +659,13 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
       | exception Numeric.Lu.Singular _ ->
           Error (smw_singular_error element_id fault)
       | smw ->
-          let x = Numeric.Smw.solve smw b_fault in
+          (* An unchanged RHS needs no substitution: [g_x] is exactly
+             [base_solve g_b] ([factorise] computed it so, and the solve
+             is deterministic), so only the SMW correction remains. *)
+          let x =
+            if !rhs = [] then Numeric.Smw.correct smw (Array.copy g.g_x)
+            else Numeric.Smw.solve smw b_fault
+          in
           let ax = matvec_v g.g_a x in
           let uvx = Numeric.Smw.apply_update smw x in
           let r = Array.init n (fun i -> b_fault.(i) -. ax.(i) -. uvx.(i)) in
@@ -699,18 +716,27 @@ let inject ?(max_iterations = 200) ?(max_step_param = 0.5)
     end
   end
 
-(* ---------- observables ---------- *)
+(* ---------- observable queries ---------- *)
 
 let node_voltage s n =
-  match Hashtbl.find_opt s.voltages n with
-  | Some v -> v
-  | None ->
-      if String.equal (String.lowercase_ascii n) "0" then 0.0 else raise Not_found
+  let n = Netlist.normalise_node n in
+  if String.equal n Netlist.ground then 0.0
+  else
+    match Hashtbl.find_opt s.p.node_index n with
+    | Some i -> s.x.(i)
+    | None -> raise Not_found
 
 let element_current s id =
-  match Hashtbl.find_opt s.currents id with
-  | Some i -> i
+  match Hashtbl.find_opt s.p.element_index id with
+  | Some idx -> current_at s.p s.elements s.x idx
   | None -> raise Not_found
+
+let max_element_current s =
+  let m = ref 0.0 in
+  for idx = 0 to Array.length s.elements - 1 do
+    m := Float.max !m (Float.abs (current_at s.p s.elements s.x idx))
+  done;
+  !m
 
 let current_sensor_readings s = s.current_sensors
 

@@ -9,6 +9,15 @@
     exactly the observable the failure-injection FMEA compares. *)
 
 type solution
+(** A solved operating point: the MNA unknown vector, the element kinds
+    it was solved with (one swapped for its faulted kind after
+    {!inject}) and the topology's numbering, shared with the
+    {!prepared} netlist rather than copied.  Building one costs an
+    O(elements) pattern match that records the sensor readings — no
+    hashing and no per-node or per-element table.  Every other
+    observable is read from the unknown vector on demand: one string
+    lookup per {!node_voltage} or {!element_current} query, and none for
+    {!max_element_current}. *)
 
 type error =
   | Singular_system of string
@@ -89,25 +98,39 @@ val inject :
     served: [`Reused] — the fault does not change the system (e.g. an
     open capacitor) and the golden solution was re-extracted;
     [`Rank_update k] — a rank-[k] SMW re-solve ([k = 0] is an RHS-only
-    change, one substitution against the golden factors).  Raises
+    change, one substitution against the golden factors).  A linear
+    fault that leaves the right-hand side unchanged (every resistor or
+    load fault, every sensor open) starts from the golden solution and
+    pays only the SMW correction ({!Numeric.Smw.correct}) and one
+    refinement step.  Raises
     [Not_found] for an unknown element and {!Fault.Not_applicable} as
     {!Fault.inject}.  Results match a full re-analysis of the faulted
     netlist to solver tolerance (roundoff for linear circuits, Newton
     tolerance when diodes are present). *)
 
 val node_voltage : solution -> string -> float
-(** 0.0 for ground; raises [Not_found] for unknown nodes. *)
+(** Names resolve as {!Netlist.normalise_node} does, so 0.0 for every
+    ground alias (["gnd"], ["GND"], ["0"], …); raises [Not_found] for
+    unknown nodes. *)
 
 val element_current : solution -> string -> float
 (** Current a → b through the element.  Raises [Not_found] for unknown
     ids; 0.0 for voltage sensors, capacitors and open switches. *)
+
+val max_element_current : solution -> float
+(** The largest [|element_current|] over all elements, folded with
+    [Float.max] in netlist order — bit-identical to folding
+    {!element_current} over {!Netlist.elements}, without the per-element
+    id lookup.  O(elements); the failure-injection FMEA's
+    supply-overcurrent bound. *)
 
 val current_sensor_readings : solution -> (string * float) list
 (** [(sensor id, amps)] for every {!Element.Current_sensor}, in netlist
     order. *)
 
 val voltage_sensor_readings : solution -> (string * float) list
-(** [(sensor id, volts)] for every {!Element.Voltage_sensor}. *)
+(** [(sensor id, volts)] for every {!Element.Voltage_sensor}, in netlist
+    order. *)
 
 val all_sensor_readings : solution -> (string * float) list
 (** Current then voltage sensors — the observation vector the

@@ -8,6 +8,11 @@ type t
 val ground : string
 (** ["gnd"]. *)
 
+val normalise_node : string -> string
+(** {!ground} for any case of ["gnd"] and for ["0"]; any other name
+    unchanged.  Applied to every element terminal on insertion, and the
+    rule by which node names are resolved in queries. *)
+
 val empty : string -> t
 (** [empty name]. *)
 

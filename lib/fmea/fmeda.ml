@@ -54,12 +54,13 @@ let total_cost deployments =
     0.0 deployments
 
 let auto_deploy ?(component_types = []) (t : Table.t) sm_model =
+  let type_of = Injection_fmea.type_lookup component_types in
   List.filter_map
     (fun (r : Table.row) ->
       if not r.Table.safety_related then None
       else
         let ctype =
-          match List.assoc_opt r.Table.component component_types with
+          match type_of r.Table.component with
           | Some ty -> ty
           | None -> r.Table.component
         in

@@ -43,13 +43,6 @@ type solve_path = [ `Reused | `Rank_update of int | `Refactor ]
 
 exception Golden_run_failed of string
 
-let max_element_current netlist solution =
-  List.fold_left
-    (fun acc (e : Circuit.Element.t) ->
-      Float.max acc (Float.abs (Circuit.Dc.element_current solution e.Circuit.Element.id)))
-    0.0
-    (Circuit.Netlist.elements netlist)
-
 (* The golden run and everything derived from it, computed once and
    shared — across the repeated single classifications of the "delve into
    a component" workflow, and (read-only) across the domains of the
@@ -93,7 +86,7 @@ let prepare ?(options = default_options) ?(solver = `Reuse) netlist =
     p_factors = factors;
     p_refactor_backend = refactor_backend;
     p_golden = golden;
-    p_golden_max_current = max_element_current netlist golden;
+    p_golden_max_current = Circuit.Dc.max_element_current golden;
     p_golden_readings = monitored (Circuit.Dc.all_sensor_readings golden);
   }
 
@@ -149,10 +142,10 @@ let classify_prepared ?(on_solved = fun (_ : solve_path) -> ()) p ~element_id
         match options.overcurrent_factor with
         | None -> true
         | Some factor ->
-            (* Element ids — and therefore the set of currents to bound —
-               are unchanged by faults, so the golden netlist indexes the
-               faulted solution too. *)
-            max_element_current p.p_netlist solution
+            (* Faults change element kinds, never the element set, so
+               the faulted solution bounds the same currents the golden
+               one does. *)
+            Circuit.Dc.max_element_current solution
             <= factor *. Float.max p.p_golden_max_current 1e-12
       in
       if not plausible then

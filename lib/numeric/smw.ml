@@ -32,8 +32,7 @@ let prepare ~n ~solve ~u ~v =
 
 let rank t = t.k
 
-let solve t b =
-  let y = t.base_solve b in
+let correct t y =
   if t.k = 0 then y
   else begin
     let w = Array.init t.k (fun i -> dot_sparse t.v.(i) y) in
@@ -49,6 +48,8 @@ let solve t b =
     done;
     y
   end
+
+let solve t b = correct t (t.base_solve b)
 
 let apply_update t x =
   let r = Array.make t.n 0.0 in

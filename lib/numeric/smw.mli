@@ -35,7 +35,18 @@ val prepare :
 val rank : t -> int
 
 val solve : t -> float array -> float array
-(** Solve [(A + U·Vᵀ) x = b] reusing the factors of [A]. *)
+(** Solve [(A + U·Vᵀ) x = b] reusing the factors of [A] — that is,
+    [correct t (s b)], where [s] is the [solve] closure given to
+    {!prepare}. *)
+
+val correct : t -> float array -> float array
+(** [correct t y], given [y = A⁻¹b], overwrites [y] with the solution
+    of [(A + U·Vᵀ) x = b] and returns it — the [O(k·n)] part of
+    {!solve}, without the solve against [A]'s factors.  A caller that
+    already holds [A⁻¹b] (the golden solution, when a fault leaves the
+    right-hand side unchanged) pays only the low-rank correction.  The
+    result is bit-identical to {!solve} when [y] is exactly what
+    [solve] would return for [b]. *)
 
 val apply_update : t -> float array -> float array
 (** [apply_update t x] is [(U·Vᵀ)·x] — the perturbation's contribution

@@ -12,12 +12,13 @@ type slot = {
 }
 
 let slots ?(component_types = []) (table : Fmea.Table.t) sm_model =
+  let type_of = Fmea.Injection_fmea.type_lookup component_types in
   List.filter_map
     (fun (r : Fmea.Table.row) ->
       if not r.Fmea.Table.safety_related then None
       else
         let ctype =
-          match List.assoc_opt r.Fmea.Table.component component_types with
+          match type_of r.Fmea.Table.component with
           | Some ty -> ty
           | None -> r.Fmea.Table.component
         in

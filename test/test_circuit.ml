@@ -412,8 +412,14 @@ let check_inject_matches_reanalysis ~eps ?backend nl =
 let test_inject_matches_dense () =
   check_inject_matches_reanalysis ~eps:1e-4 (mixed_netlist ())
 
+(* On both backends: faults that edit the right-hand side (source
+   stuck/shift/open/short) solve against the edited RHS, the rest start
+   from the golden solution. *)
 let test_inject_matches_linear () =
-  check_inject_matches_reanalysis ~eps:1e-8 (mixed_linear_netlist ())
+  List.iter
+    (fun backend ->
+      check_inject_matches_reanalysis ~eps:1e-8 ~backend (mixed_linear_netlist ()))
+    [ `Dense; `Sparse ]
 
 let test_inject_matches_sparse_backend () =
   check_inject_matches_reanalysis ~eps:1e-4 ~backend:`Sparse (mixed_netlist ())
@@ -486,6 +492,113 @@ let test_inject_paths_reported () =
     | Some (`Rank_update k) -> k >= 1
     | _ -> false)
 
+let factorise_exn ?backend nl =
+  match Dc.factorise (Dc.prepare ?backend nl) with
+  | Ok g -> g
+  | Error e -> Alcotest.fail (Format.asprintf "golden: %a" Dc.pp_error e)
+
+(* Every ground alias reads 0.0, on golden and faulted solutions alike;
+   an unknown node or element id raises. *)
+let test_node_and_element_lookup () =
+  let nl = mixed_linear_netlist () in
+  let g = factorise_exn nl in
+  let faulted =
+    match Dc.inject g ~element_id:"R2" Fault.Open_circuit with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Format.asprintf "inject: %a" Dc.pp_error e)
+  in
+  List.iter
+    (fun (what, s) ->
+      List.iter
+        (fun alias ->
+          Alcotest.(check (float 0.0)) (what ^ " " ^ alias) 0.0 (Dc.node_voltage s alias))
+        [ "gnd"; "GND"; "Gnd"; "gNd"; "0" ];
+      check_float (what ^ " vin") 12.0 (Dc.node_voltage s "vin");
+      Alcotest.check_raises (what ^ " unknown node") Not_found (fun () ->
+          ignore (Dc.node_voltage s "nowhere"));
+      Alcotest.check_raises (what ^ " node names are case-sensitive") Not_found (fun () ->
+          ignore (Dc.node_voltage s "VIN"));
+      Alcotest.check_raises (what ^ " unknown element") Not_found (fun () ->
+          ignore (Dc.element_current s "R99")))
+    [ ("golden", Dc.golden_solution g); ("faulted", faulted); ("analysed", solve_exn nl) ]
+
+let bits = Int64.bits_of_float
+
+(* [max_element_current] reads the solution vector directly; it must be
+   the [Float.max] fold of [element_current] over the netlist, bit for
+   bit, for the golden solution and for every faulted one. *)
+let test_max_element_current_bits () =
+  let fold nl s =
+    List.fold_left
+      (fun acc (e : Element.t) ->
+        Float.max acc (Float.abs (Dc.element_current s e.Element.id)))
+      0.0 (Netlist.elements nl)
+  in
+  let check what nl s =
+    Alcotest.(check int64) what (bits (fold nl s)) (bits (Dc.max_element_current s))
+  in
+  List.iter
+    (fun nl ->
+      List.iter
+        (fun (backend_name, backend) ->
+          let name = Printf.sprintf "%s/%s" (Netlist.name nl) backend_name in
+          let g = factorise_exn ~backend nl in
+          check (name ^ " golden") nl (Dc.golden_solution g);
+          List.iter
+            (fun (id, fault) ->
+              match Dc.inject g ~element_id:id fault with
+              | Ok s ->
+                  check (Printf.sprintf "%s %s/%s" name id (Fault.to_string fault)) nl s
+              | Error _ -> ()
+              | exception Fault.Not_applicable _ -> ())
+            (injection_cases nl))
+        [ ("dense", `Dense); ("sparse", `Sparse) ])
+    [ mixed_netlist (); Generator.ladder ~sections:20; Generator.grid ~rows:4 ~cols:4 ]
+
+let sensor_ids readings = List.map fst readings
+
+(* Readings come in netlist order; a sensor faulted away (opened — no
+   longer a sensor) drops out of the observation vector, as it does
+   when the faulted netlist is re-analysed. *)
+let test_sensor_readings_order () =
+  let nl =
+    Netlist.of_elements "sensors"
+      [
+        Element.make ~id:"V1" ~kind:(Element.Vsource 5.0) "vin" "gnd";
+        Element.make ~id:"VS2" ~kind:Element.Voltage_sensor "vin" "gnd";
+        Element.make ~id:"CSB" ~kind:Element.Current_sensor "vin" "a";
+        Element.make ~id:"R1" ~kind:(Element.Resistor 100.0) "a" "b";
+        Element.make ~id:"VS1" ~kind:Element.Voltage_sensor "b" "gnd";
+        Element.make ~id:"CSA" ~kind:Element.Current_sensor "b" "c";
+        Element.make ~id:"R2" ~kind:(Element.Resistor 100.0) "c" "gnd";
+      ]
+  in
+  let g = factorise_exn nl in
+  let s = Dc.golden_solution g in
+  Alcotest.(check (list string)) "current sensors" [ "CSB"; "CSA" ]
+    (sensor_ids (Dc.current_sensor_readings s));
+  Alcotest.(check (list string)) "voltage sensors" [ "VS2"; "VS1" ]
+    (sensor_ids (Dc.voltage_sensor_readings s));
+  Alcotest.(check (list string)) "all readings" [ "CSB"; "CSA"; "VS2"; "VS1" ]
+    (sensor_ids (Dc.all_sensor_readings s));
+  List.iter
+    (fun (id, expected) ->
+      let fast =
+        match Dc.inject g ~element_id:id Fault.Open_circuit with
+        | Ok s -> s
+        | Error e -> Alcotest.fail (Format.asprintf "inject %s: %a" id Dc.pp_error e)
+      in
+      let slow = solve_exn (Fault.inject nl ~element_id:id Fault.Open_circuit) in
+      Alcotest.(check (list string)) (id ^ " open") expected
+        (sensor_ids (Dc.all_sensor_readings fast));
+      Alcotest.(check (list string)) (id ^ " open, re-analysed") expected
+        (sensor_ids (Dc.all_sensor_readings slow)))
+    [
+      ("CSB", [ "CSA"; "VS2"; "VS1" ]);
+      ("VS1", [ "CSB"; "CSA"; "VS2" ]);
+      ("R1", [ "CSB"; "CSA"; "VS2"; "VS1" ]);
+    ]
+
 (* ---------- Library ---------- *)
 
 let test_library_lookup () =
@@ -554,6 +667,9 @@ let suite =
     Alcotest.test_case "inject floating node singular" `Quick
       test_inject_floating_node_singular;
     Alcotest.test_case "inject paths reported" `Quick test_inject_paths_reported;
+    Alcotest.test_case "node and element lookup" `Quick test_node_and_element_lookup;
+    Alcotest.test_case "max element current bits" `Quick test_max_element_current_bits;
+    Alcotest.test_case "sensor readings order" `Quick test_sensor_readings_order;
     Alcotest.test_case "library lookup" `Quick test_library_lookup;
     Alcotest.test_case "library coverage" `Quick test_library_coverage;
     Alcotest.test_case "library distributions" `Quick test_library_distributions_sum;
